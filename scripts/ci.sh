@@ -153,6 +153,22 @@ diff "$root/tests/golden/table1_stdout.txt" "$gold_dir/table1_stdout.txt"
 rm -rf "$gold_dir"
 echo "golden byte-diff passed: default-policy outputs match the seed."
 
+# Ablation golden byte-diff: the cache paths the figure goldens never
+# reach — the tags-in-ECC policy at 1-8 ways (live LRU stamps) and
+# every registered policy, bypass included — must reproduce their
+# recorded CSVs byte for byte.
+echo "=== ablation golden byte-diff (associativity / policy) ==="
+abl_dir=$(mktemp -d)
+(cd "$abl_dir" && \
+    "$root/build/bench/bench_ablation_associativity" --jobs="$jobs" \
+        > /dev/null && \
+    "$root/build/bench/bench_ablation_policy" --jobs="$jobs" > /dev/null)
+diff "$root/tests/golden/ablation_associativity.csv" \
+     "$abl_dir/ablation_associativity.csv"
+diff "$root/tests/golden/ablation_policy.csv" "$abl_dir/ablation_policy.csv"
+rm -rf "$abl_dir"
+echo "ablation byte-diff passed: associativity and policy sweeps match."
+
 # Maintenance-off equivalence: a config that spells the whole
 # maintenance block out explicitly, with every engine off, must
 # reproduce the golden figure outputs byte-for-byte — the subsystem is

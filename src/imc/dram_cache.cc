@@ -23,10 +23,9 @@ DirectMappedTagEccPolicy::DirectMappedTagEccPolicy(
               static_cast<unsigned long long>(numSets_ * ways_));
     }
     const std::size_t entries = numSets_ * ways_;
-    wayTag_.assign(entries, kInvalidTag);
-    wayLru_.assign(entries, 0);
-    wayDirty_.assign(entries, 0);
-    wayRetired_.assign(entries, 0);
+    way_.assign(entries, kEmptyTag);
+    if (ways_ > 1)
+        wayLru_.assign(entries, 0);
     if ((numSets_ & (numSets_ - 1)) == 0) {
         setMask_ = numSets_ - 1;
         setShift_ = 0;
@@ -57,14 +56,26 @@ DirectMappedTagEccPolicy::addrOf(std::uint64_t set, std::uint64_t tag) const
     return (tag * numSets_ + set) * kLineSize;
 }
 
+void
+DirectMappedTagEccPolicy::tagOverflow(std::uint64_t tag) const
+{
+    fatal("%s: tag %llu does not fit the packed tag field (limit %llu "
+          "tags); the NVRAM range is too large for %llu DRAM-cache sets",
+          kindName(), static_cast<unsigned long long>(tag),
+          static_cast<unsigned long long>(kTagLimit),
+          static_cast<unsigned long long>(numSets_));
+}
+
 DirectMappedTagEccPolicy::WayIdx
 DirectMappedTagEccPolicy::find(std::uint64_t set, std::uint64_t tag) const
 {
-    // The probe loop touches only the tag words (empty ways hold
-    // kInvalidTag) — the point of the structure-of-arrays layout.
+    // A tag past the field cannot be resident (and must not match the
+    // empty marker).
+    if (tag >= kTagLimit)
+        return kNoWay;
     const WayIdx base = set * ways_;
     for (unsigned w = 0; w < ways_; ++w) {
-        if (wayTag_[base + w] == tag)
+        if ((way_[base + w] & kTagMask) == tag)
             return base + w;
     }
     return kNoWay;
@@ -76,7 +87,7 @@ DirectMappedTagEccPolicy::victimWay(std::uint64_t set) const
     const WayIdx base = set * ways_;
     WayIdx victim = kNoWay;
     for (unsigned w = 0; w < ways_; ++w) {
-        if (wayRetired_[base + w])
+        if (wayRetired(base + w))
             continue;
         if (!wayValid(base + w))
             return base + w;
@@ -123,8 +134,8 @@ DirectMappedTagEccPolicy::missHandler(Addr addr, std::uint64_t set,
     if (wayValid(victim)) {
         if (profiler_)
             profiler_->noteEviction(set);
-        Addr victim_addr = addrOf(set, wayTag_[victim]);
-        if (wayDirty_[victim]) {
+        Addr victim_addr = addrOf(set, wayTag(victim));
+        if (wayDirty(victim)) {
             // Write the dirty victim back to NVRAM.
             result.actions.nvramWrites += 1;
             result.victim = victim_addr;
@@ -145,9 +156,7 @@ DirectMappedTagEccPolicy::missHandler(Addr addr, std::uint64_t set,
     result.fill = lineBase(addr);
     result.filled = true;
 
-    wayDirty_[victim] = 0;
-    wayTag_[victim] = tag;  // a real tag: the way is now valid
-    touchLru(victim);
+    installTag(victim, tag);
     ddo_->noteInsert(lineBase(addr));
     return victim;
 }
@@ -193,7 +202,7 @@ DirectMappedTagEccPolicy::write(Addr addr)
     if (ddo_->check(lineBase(addr), way != kNoWay)) {
         result.outcome = CacheOutcome::DdoHit;
         result.actions.dramWrites = 1;
-        wayDirty_[way] = 1;
+        markDirty(way);
         touchLru(way);
         if (profiler_)
             profiler_->noteHit(set);
@@ -227,7 +236,7 @@ DirectMappedTagEccPolicy::write(Addr addr)
     }
 
     result.actions.dramWrites += 1;
-    wayDirty_[way] = 1;
+    markDirty(way);
     touchLru(way);
     return result;
 }
@@ -249,8 +258,8 @@ DirectMappedTagEccPolicy::corruptTag(Addr addr)
         return tc;
 
     tc.dropped = true;
-    tc.wasDirty = wayDirty_[way] != 0;
-    tc.line = addrOf(set, wayTag_[way]);
+    tc.wasDirty = wayDirty(way);
+    tc.line = addrOf(set, wayTag(way));
     // Keep the DDO tracker consistent: the line is gone, later writes
     // must not elide their tag check.
     ddo_->noteEvict(tc.line);
@@ -266,12 +275,12 @@ DirectMappedTagEccPolicy::retireFrame(Addr frame)
     // set the frame backs).
     WayIdx idx = lineIndex(frame) % (numSets_ * ways_);
     TagCorruption tc;
-    if (wayRetired_[idx])
+    if (wayRetired(idx))
         return tc;
     if (wayValid(idx)) {
         tc.dropped = true;
-        tc.wasDirty = wayDirty_[idx] != 0;
-        tc.line = addrOf(idx / ways_, wayTag_[idx]);
+        tc.wasDirty = wayDirty(idx);
+        tc.line = addrOf(idx / ways_, wayTag(idx));
         // Keep the DDO tracker consistent: the line is gone, later
         // writes must not elide their tag check.
         ddo_->noteEvict(tc.line);
@@ -279,7 +288,7 @@ DirectMappedTagEccPolicy::retireFrame(Addr frame)
             profiler_->noteEviction(idx / ways_);
     }
     clearWay(idx);
-    wayRetired_[idx] = 1;
+    way_[idx] |= kRetiredBit;
     ++retiredWays_;
     return tc;
 }
@@ -294,16 +303,14 @@ bool
 DirectMappedTagEccPolicy::residentDirty(Addr addr) const
 {
     WayIdx way = find(setOf(addr), tagOf(addr));
-    return way != kNoWay && wayDirty_[way];
+    return way != kNoWay && wayDirty(way);
 }
 
 void
 DirectMappedTagEccPolicy::invalidateAll()
 {
-    std::fill(wayTag_.begin(), wayTag_.end(), kInvalidTag);
+    std::fill(way_.begin(), way_.end(), kEmptyTag);
     std::fill(wayLru_.begin(), wayLru_.end(), 0);
-    std::fill(wayDirty_.begin(), wayDirty_.end(), 0);
-    std::fill(wayRetired_.begin(), wayRetired_.end(), 0);
     // A reboot remaps retired rows onto spares: retirement clears too.
     retiredWays_ = 0;
     // Recreate the DDO policy so no stale insert knowledge survives.

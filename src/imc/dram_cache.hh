@@ -104,30 +104,43 @@ class DirectMappedTagEccPolicy : public CachePolicy
     }
     obs::SetProfiler *profiler() override { return profiler_; }
 
+    /**
+     * Number of distinct tags the packed line state can hold: tags
+     * 0 .. kTagLimit - 1 fit its 14-bit field, whose all-ones value
+     * marks an empty way. A geometry whose NVRAM lines per channel
+     * exceed kTagLimit DRAM-cache sets' worth is rejected up front by
+     * SystemConfig::validate(); inserting a tag that does not fit is
+     * fatal, never truncated.
+     */
+    static constexpr std::uint64_t kTagLimit = (1u << 14) - 1;
+
   protected:
     /**
-     * Handle into the structure-of-arrays line-state store: the flat
-     * index set * ways + way, or kNoWay for "not found". Line state
-     * is kept as parallel arrays (tag, LRU stamp, dirty, retired)
-     * rather than an array of per-way structs: the hot probe loop
-     * reads only the tag words (an empty way holds kInvalidTag, so
-     * there is no separate valid byte to fetch), packing eight
-     * candidate tags per hardware cache line instead of walking
-     * 24-byte padded structs — and the dirty/retired sideband stays
-     * out of the probe path entirely.
+     * Flat index set * ways + way into the line-state store, or kNoWay
+     * for "not found". Each way is one 16-bit word (LineState): a
+     * 14-bit tag plus the dirty and retired flags, with LRU stamps in
+     * a separate u32 array that exists only when ways > 1 (a
+     * direct-mapped set has no replacement choice). The layout is
+     * sized for the host cache: a random 2LM stream touches one way
+     * per simulated line, so the store's footprint, not arithmetic,
+     * sets the speed. At the fig4 scale the 786 K ways take 1.5 MB
+     * and fit a 2 MiB host L2; at 14 B a way (u64 tag, u32 stamp,
+     * dirty and retired bytes) they would take 11 MB.
      */
     using WayIdx = std::uint64_t;
     static constexpr WayIdx kNoWay = ~static_cast<WayIdx>(0);
 
-    /**
-     * Tag value marking an empty way. Real tags are lineIndex /
-     * numSets for in-range physical addresses, orders of magnitude
-     * below 2^64, so the all-ones word is never a live tag.
-     */
-    static constexpr std::uint64_t kInvalidTag =
-        ~static_cast<std::uint64_t>(0);
+    using LineState = std::uint16_t;
+    static constexpr LineState kTagMask = kTagLimit;  //!< low 14 bits
+    static constexpr LineState kEmptyTag = kTagMask;  //!< all-ones tag
+    static constexpr LineState kDirtyBit = 1u << 14;
+    static constexpr LineState kRetiredBit = 1u << 15;
 
-    bool wayValid(WayIdx w) const { return wayTag_[w] != kInvalidTag; }
+    std::uint64_t wayTag(WayIdx w) const { return way_[w] & kTagMask; }
+    bool wayValid(WayIdx w) const { return wayTag(w) != kEmptyTag; }
+    bool wayDirty(WayIdx w) const { return (way_[w] & kDirtyBit) != 0; }
+    bool wayRetired(WayIdx w) const { return (way_[w] & kRetiredBit) != 0; }
+    void markDirty(WayIdx w) { way_[w] |= kDirtyBit; }
 
     /**
      * Insertion gate consulted on every miss. The stock controller
@@ -190,9 +203,9 @@ class DirectMappedTagEccPolicy : public CachePolicy
     {
         if (retiredWays_ == 0)
             return false;  // keep the maintenance-off path branch-cheap
-        const std::uint8_t *base = &wayRetired_[set * ways_];
+        const LineState *base = &way_[set * ways_];
         for (unsigned w = 0; w < ways_; ++w) {
-            if (!base[w])
+            if (!(base[w] & kRetiredBit))
                 return false;
         }
         return true;
@@ -214,11 +227,26 @@ class DirectMappedTagEccPolicy : public CachePolicy
     void
     clearWay(WayIdx w)
     {
-        wayTag_[w] = kInvalidTag;
-        wayLru_[w] = 0;
-        wayDirty_[w] = 0;
-        wayRetired_[w] = 0;
+        way_[w] = kEmptyTag;
+        if (ways_ > 1)
+            wayLru_[w] = 0;
     }
+
+    /**
+     * Install @p tag clean in way @p w and stamp it most-recently-used.
+     * A tag at or above kTagLimit is fatal: it would alias another
+     * line in the packed field.
+     */
+    void
+    installTag(WayIdx w, std::uint64_t tag)
+    {
+        if (tag >= kTagLimit)
+            tagOverflow(tag);
+        way_[w] = static_cast<LineState>(tag);
+        touchLru(w);
+    }
+
+    [[noreturn]] void tagOverflow(std::uint64_t tag) const;
 
     /**
      * Run the Figure 3 miss handler: evict (writeback if dirty), fetch
@@ -233,12 +261,10 @@ class DirectMappedTagEccPolicy : public CachePolicy
     std::uint64_t numSets_;
     int setShift_ = -1;          //!< log2(numSets_) when a power of two
     std::uint64_t setMask_ = 0;  //!< numSets_ - 1 when a power of two
-    // Structure-of-arrays line state, numSets_ * ways_ entries each;
-    // see WayIdx for the layout rationale.
-    std::vector<std::uint64_t> wayTag_;
+    // Packed line state, numSets_ * ways_ words; LRU stamps alongside
+    // only when ways_ > 1. See WayIdx for the layout rationale.
+    std::vector<LineState> way_;
     std::vector<std::uint32_t> wayLru_;
-    std::vector<std::uint8_t> wayDirty_;
-    std::vector<std::uint8_t> wayRetired_;
     std::uint64_t retiredWays_ = 0;
     std::uint32_t lruClock_ = 0;
     std::unique_ptr<DdoPolicy> ddo_;

@@ -19,8 +19,8 @@ SramTagSetAssocPolicy::fill(Addr addr, std::uint64_t set,
     if (wayValid(victim)) {
         if (profiler_)
             profiler_->noteEviction(set);
-        Addr victim_addr = addrOf(set, wayTag_[victim]);
-        if (wayDirty_[victim]) {
+        Addr victim_addr = addrOf(set, wayTag(victim));
+        if (wayDirty(victim)) {
             result.actions.nvramWrites += 1;
             result.victim = victim_addr;
             result.wroteBack = true;
@@ -37,10 +37,8 @@ SramTagSetAssocPolicy::fill(Addr addr, std::uint64_t set,
     result.fill = lineBase(addr);
     result.filled = true;
 
-    wayDirty_[victim] = 0;
-    wayTag_[victim] = tag;  // a real tag: the way is now valid
     // Both LRU and FIFO stamp at insertion; they differ on hits.
-    touchLru(victim);
+    installTag(victim, tag);
     ddo_->noteInsert(lineBase(addr));
     return victim;
 }
@@ -88,7 +86,7 @@ SramTagSetAssocPolicy::write(Addr addr)
     if (WayIdx way = find(set, tag); way != kNoWay) {
         result.outcome = CacheOutcome::Hit;
         result.actions.dramWrites = 1;
-        wayDirty_[way] = 1;
+        markDirty(way);
         if (lru_)
             touchLru(way);
         if (profiler_)
@@ -112,7 +110,7 @@ SramTagSetAssocPolicy::write(Addr addr)
     // merged into the fill: one NVRAM fetch, one DRAM write total.
     WayIdx way = fill(addr, set, tag, result);
     result.actions.dramWrites += 1;
-    wayDirty_[way] = 1;
+    markDirty(way);
     return result;
 }
 
@@ -128,8 +126,8 @@ SramTagSetAssocPolicy::corruptTag(Addr addr)
         return tc;  // tags are safe in SRAM; nothing resident was lost
 
     tc.dropped = true;
-    tc.wasDirty = wayDirty_[way] != 0;
-    tc.line = addrOf(set, wayTag_[way]);
+    tc.wasDirty = wayDirty(way);
+    tc.line = addrOf(set, wayTag(way));
     ddo_->noteEvict(tc.line);
     clearWay(way);
     return tc;

@@ -29,7 +29,6 @@
 #define NVSIM_MEM_NVRAM_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/types.hh"
@@ -149,15 +148,26 @@ class NvramDevice
      * Tiny LRU buffer of media block addresses. Capacities are on the
      * order of 16 entries, so a linear scan over a vector is both simple
      * and fast.
+     *
+     * Each entry is one word: the 256 B-aligned block address, whose
+     * low bits are free, carries the WPQ's fill mask of present 64 B
+     * lines in bits 0-3 (always zero in the read buffer). Keeping the
+     * mask in the LRU slot spares every NVRAM write a hash lookup and
+     * a heap node in a side table, and keeps entries at 8 bytes:
+     * wider entries slow the read buffer's scan.
      */
     struct BlockLru
     {
+        static constexpr Addr kFillMask = kMediaBlockSize - 1;
+
         explicit BlockLru(unsigned capacity) : capacity(capacity) {}
 
         /**
-         * Touch @p block. Returns true on hit. On miss inserts and, if
-         * over capacity, evicts the least recently used block into
-         * @p evicted and sets @p did_evict.
+         * Touch @p block. Returns true on hit. Either way the block's
+         * entry ends at the most-recently-used end, order.back(): on a
+         * hit with its fill bits kept, on a miss inserted with none.
+         * A miss over capacity evicts the least recently used entry
+         * into @p evicted and sets @p did_evict.
          */
         bool touch(Addr block, Addr &evicted, bool &did_evict);
 
@@ -166,8 +176,8 @@ class NvramDevice
         void
         drain(F &&f)
         {
-            for (Addr block : order)
-                f(block);
+            for (Addr entry : order)
+                f(entry & ~kFillMask);
             order.clear();
         }
 
@@ -181,9 +191,7 @@ class NvramDevice
     FaultPlan *faultPlan_ = nullptr;  //!< not owned; may be null
 
     BlockLru readBuffer_;
-    BlockLru wpq_;
-    /** WPQ fill bitmaps: media block -> mask of present 64 B lines. */
-    std::unordered_map<Addr, std::uint8_t> wpqFill_;
+    BlockLru wpq_;  //!< entries carry their fill mask; see BlockLru
     /**
      * Writer-stream tracking: writerStamp_[thread] holds the epoch id
      * of that thread's last write, so counting distinct writers per
@@ -196,8 +204,12 @@ class NvramDevice
     void noteWriter(std::uint16_t thread);
     void mediaWrite(Addr block);
 
-    /** Drop @p block from the WPQ order (it was just touched: MRU). */
-    void retireWpqBlock(Addr block);
+    /**
+     * Merge line @p slot into the WPQ's MRU entry (the block just
+     * touched); a block whose four lines are all present retires with
+     * one media write. Returns true if it retired.
+     */
+    bool mergeWpqSlot(unsigned slot);
 };
 
 } // namespace nvsim

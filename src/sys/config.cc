@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/logging.hh"
+#include "imc/dram_cache.hh"
 
 namespace nvsim
 {
@@ -72,6 +73,28 @@ SystemConfig::validate() const
               static_cast<unsigned long long>(interleaveGranularity));
     if (scaledNvramPerDimm() < scaledDramPerDimm())
         fatal("NVRAM DIMM smaller than DRAM DIMM after scaling");
+    if (mode == MemoryMode::TwoLm) {
+        // The DRAM cache packs each way's tag into a fixed-width field:
+        // every NVRAM line of a channel must map to a tag that fits.
+        const std::uint64_t nvram_lines = scaledNvramPerDimm() / kLineSize;
+        const std::uint64_t sets =
+            scaledDramPerDimm() / kLineSize / cacheWays;
+        if (sets == 0)
+            fatal("cacheWays %u exceeds the %llu lines of a scaled DRAM "
+                  "DIMM", cacheWays,
+                  static_cast<unsigned long long>(scaledDramPerDimm() /
+                                                  kLineSize));
+        const std::uint64_t tags = (nvram_lines + sets - 1) / sets;
+        if (tags > DirectMappedTagEccPolicy::kTagLimit)
+            fatal("2LM largest tag %llu (%llu NVRAM lines per channel / "
+                  "%llu DRAM-cache sets per channel) exceeds the packed "
+                  "tag field's limit of %llu",
+                  static_cast<unsigned long long>(tags),
+                  static_cast<unsigned long long>(nvram_lines),
+                  static_cast<unsigned long long>(sets),
+                  static_cast<unsigned long long>(
+                      DirectMappedTagEccPolicy::kTagLimit));
+    }
     if (mlp == 0)
         fatal("per-thread MLP must be at least 1");
     if (epochBytes == 0)

@@ -70,12 +70,12 @@ class Llc
     {
         for (std::uint64_t set = 0; set < numSets_; ++set) {
             for (unsigned w = 0; w < ways_; ++w) {
-                Way &way = ways_store_[set * ways_ + w];
-                if (way.valid && way.dirty)
-                    writeback(addrOf(set, way.tag));
-                way = Way{};
+                const std::uint64_t i = set * ways_ + w;
+                if (tag_[i] != kEmptyTag && dirty_[i])
+                    writeback(addrOf(set, tag_[i]));
             }
         }
+        invalidateAll();
     }
 
     std::uint64_t numSets() const { return numSets_; }
@@ -95,13 +95,12 @@ class Llc
     ///@}
 
   private:
-    struct Way
-    {
-        std::uint64_t tag = 0;
-        std::uint32_t lru = 0;
-        bool valid = false;
-        bool dirty = false;
-    };
+    /**
+     * Tag of an empty way. Real tags are lineIndex / numSets_, far
+     * below 2^64, so the all-ones word is never a live tag and the
+     * probe needs no separate valid flag.
+     */
+    static constexpr std::uint64_t kEmptyTag = ~std::uint64_t{0};
 
     /**
      * One division decomposes the line index into (set, tag): the
@@ -126,7 +125,19 @@ class Llc
 
     unsigned ways_;
     std::uint64_t numSets_;
-    std::vector<Way> ways_store_;
+    // Way state as parallel arrays, numSets_ * ways_ entries each: the
+    // one-pass probe in access() streams the set's tags and ranks
+    // without striding over padded structs.
+    std::vector<std::uint64_t> tag_;
+    /**
+     * Replacement rank: the way's u32 LRU stamp + 1, or 0 when empty,
+     * so the minimum rank is the first empty way, else the least
+     * recently used one — the victim rule — with no validity test in
+     * the probe. Widened to u64 so stamp 0xffffffff still ranks above
+     * an empty way.
+     */
+    std::vector<std::uint64_t> rank_;
+    std::vector<std::uint8_t> dirty_;
     std::uint32_t lruClock_ = 0;
 
     std::uint64_t hits_ = 0;

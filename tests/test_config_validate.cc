@@ -100,6 +100,49 @@ TEST(ConfigValidateDeathTest, RejectsNvramSmallerThanDram)
                 "NVRAM DIMM smaller than DRAM");
 }
 
+TEST(ConfigValidate, TagFieldFitsDefaultAndAssociativeGeometries)
+{
+    // Default: 512 MiB of NVRAM over 32 MiB of direct-mapped DRAM per
+    // channel, largest tag 16; the 8-way ablation's is 128.
+    SystemConfig cfg = okConfig();
+    cfg.cacheWays = 8;
+    cfg.validate();
+    // Exactly at the limit still fits.
+    cfg.cacheWays = 1;
+    cfg.nvram.capacity = cfg.dram.capacity * 16383;
+    cfg.validate();
+    SUCCEED();
+}
+
+TEST(ConfigValidateDeathTest, RejectsTagWiderThanPackedField)
+{
+    SystemConfig cfg = okConfig();
+    cfg.nvram.capacity = cfg.dram.capacity * 16384;
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                "2LM largest tag 16384 \\(8589934592 NVRAM lines per "
+                "channel / 524288 DRAM-cache sets per channel\\) exceeds "
+                "the packed tag field's limit of 16383");
+}
+
+TEST(ConfigValidateDeathTest, RejectsTagWiderThanPackedFieldAtEightWays)
+{
+    // Associativity divides the set count, so it multiplies the tag.
+    SystemConfig cfg = okConfig();
+    cfg.cacheWays = 8;
+    cfg.nvram.capacity = cfg.dram.capacity * 2048;
+    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                "2LM largest tag 16384 .* 65536 DRAM-cache sets");
+}
+
+TEST(ConfigValidate, OneLmIgnoresTagWidth)
+{
+    SystemConfig cfg = okConfig();
+    cfg.mode = MemoryMode::OneLm;
+    cfg.nvram.capacity = cfg.dram.capacity * 16384;
+    cfg.validate();
+    SUCCEED();
+}
+
 TEST(ConfigValidateDeathTest, RejectsZeroMlp)
 {
     SystemConfig cfg = okConfig();

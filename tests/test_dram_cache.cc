@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "imc/dram_cache.hh"
+#include "imc/sram_tag_policy.hh"
 
 using namespace nvsim;
 
@@ -196,6 +197,65 @@ TEST(DramCache, RejectsOversizedTagStore)
     DramCacheParams p;
     p.capacity = 1ull << 60;
     EXPECT_DEATH(DramCache cache(p), "scale");
+}
+
+// --- Packed tag field -----------------------------------------------------
+
+namespace
+{
+
+/** Line address of tag @p tag in set 0 of @p cache. */
+Addr
+tagAddr(const DramCache &cache, std::uint64_t tag)
+{
+    return tag * cache.numSets() * kLineSize;
+}
+
+} // namespace
+
+TEST(DramCache, LargestFittingTagIsStoredExactly)
+{
+    DramCache cache(tinyParams());
+    const Addr top = tagAddr(cache, DramCache::kTagLimit - 1);
+    cache.write(top);
+    EXPECT_TRUE(cache.resident(top));
+    EXPECT_TRUE(cache.residentDirty(top));
+    // Its alias with tag 0 evicts it dirty, at the full address.
+    CacheResult r = cache.read(0);
+    EXPECT_EQ(r.outcome, CacheOutcome::MissDirty);
+    EXPECT_EQ(r.victim, top);
+}
+
+TEST(DramCache, OversizedTagIsNeverResident)
+{
+    DramCache cache(tinyParams());
+    // The all-ones field marks an empty way: a probe for that tag
+    // must not match it.
+    EXPECT_FALSE(cache.resident(tagAddr(cache, DramCache::kTagLimit)));
+    EXPECT_FALSE(
+        cache.resident(tagAddr(cache, DramCache::kTagLimit + 1)));
+}
+
+TEST(DramCacheDeathTest, InsertingOversizedTagIsFatal)
+{
+    DramCache cache(tinyParams());
+    const Addr over = tagAddr(cache, DramCache::kTagLimit);
+    EXPECT_EXIT(cache.read(over), ::testing::ExitedWithCode(1),
+                "tag 16383 does not fit the packed tag field");
+    EXPECT_EXIT(cache.write(over + cache.numSets() * kLineSize),
+                ::testing::ExitedWithCode(1),
+                "tag 16384 does not fit the packed tag field");
+}
+
+TEST(DramCacheDeathTest, SramTagPolicyInsertingOversizedTagIsFatal)
+{
+    DramCacheParams p = tinyParams();
+    p.ways = 4;
+    SramTagSetAssocPolicy cache(p, CachePolicyConfig{});
+    const Addr over =
+        DramCache::kTagLimit * cache.numSets() * kLineSize;
+    EXPECT_EXIT(cache.write(over), ::testing::ExitedWithCode(1),
+                "sram_tag_set_assoc: tag 16383 does not fit");
 }
 
 // --- Associativity ablation ----------------------------------------------

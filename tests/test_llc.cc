@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <tuple>
 #include <vector>
 
+#include "core/rng.hh"
 #include "sys/llc.hh"
 
 using namespace nvsim;
@@ -113,3 +117,166 @@ TEST(Llc, CapacityIsRespected)
         resident += llc.resident(a) ? 1 : 0;
     EXPECT_EQ(resident, 16u);
 }
+
+// --- Reference-model property test ---------------------------------------
+
+namespace
+{
+
+/**
+ * Brute-force LRU reference: per set, a list of resident lines with
+ * a global use stamp; a miss in a full set evicts the smallest stamp.
+ */
+class RefLlc
+{
+  public:
+    RefLlc(std::uint64_t sets, unsigned ways) : sets_(sets), ways_(ways) {}
+
+    LlcResult
+    access(Addr addr, bool is_store)
+    {
+        LlcResult r;
+        auto &lines = store_[lineIndex(addr) % sets_];
+        const Addr line = lineBase(addr);
+        for (auto &l : lines) {
+            if (l.addr == line) {
+                r.hit = true;
+                l.dirty = l.dirty || is_store;
+                l.stamp = ++clock_;
+                return r;
+            }
+        }
+        r.missed = true;
+        if (lines.size() == ways_) {
+            auto victim = std::min_element(
+                lines.begin(), lines.end(),
+                [](const Line &a, const Line &b) {
+                    return a.stamp < b.stamp;
+                });
+            if (victim->dirty) {
+                r.evictedDirty = true;
+                r.victim = victim->addr;
+            }
+            lines.erase(victim);
+        }
+        lines.push_back({line, is_store, ++clock_});
+        return r;
+    }
+
+    void
+    invalidateLine(Addr addr)
+    {
+        auto &lines = store_[lineIndex(addr) % sets_];
+        const Addr line = lineBase(addr);
+        lines.erase(std::remove_if(lines.begin(), lines.end(),
+                                   [&](const Line &l) {
+                                       return l.addr == line;
+                                   }),
+                    lines.end());
+    }
+
+    /** Dirty lines, sorted; then drop everything. */
+    std::vector<Addr>
+    flush()
+    {
+        std::vector<Addr> dirty;
+        for (const auto &[set, lines] : store_) {
+            for (const Line &l : lines) {
+                if (l.dirty)
+                    dirty.push_back(l.addr);
+            }
+        }
+        store_.clear();
+        std::sort(dirty.begin(), dirty.end());
+        return dirty;
+    }
+
+    bool
+    resident(Addr addr) const
+    {
+        auto it = store_.find(lineIndex(addr) % sets_);
+        if (it == store_.end())
+            return false;
+        for (const Line &l : it->second) {
+            if (l.addr == lineBase(addr))
+                return true;
+        }
+        return false;
+    }
+
+  private:
+    struct Line
+    {
+        Addr addr;
+        bool dirty;
+        std::uint64_t stamp;
+    };
+
+    std::uint64_t sets_;
+    unsigned ways_;
+    std::uint64_t clock_ = 0;
+    std::map<std::uint64_t, std::vector<Line>> store_;
+};
+
+} // namespace
+
+/** (ways, sets, address space in multiples of the capacity) */
+class LlcVsReference
+    : public ::testing::TestWithParam<
+          std::tuple<unsigned, unsigned, unsigned>>
+{
+};
+
+TEST_P(LlcVsReference, RandomStreamAgrees)
+{
+    auto [ways, sets, spread] = GetParam();
+    const std::uint64_t space = std::uint64_t{spread} * sets * ways;
+    Llc llc(tinyLlc(ways, static_cast<Bytes>(sets) * ways * kLineSize));
+    ASSERT_EQ(llc.numSets(), sets);
+    RefLlc ref(sets, ways);
+
+    Rng rng(ways * 1000 + sets * 10 + spread);
+    std::uint64_t hits = 0;
+    std::uint64_t dirty_victims = 0;
+    for (int step = 0; step < 30000; ++step) {
+        const Addr addr = rng.below(space) * kLineSize;
+        const std::uint64_t op = rng.below(64);
+        if (op == 0) {
+            std::vector<Addr> flushed;
+            llc.flush([&](Addr a) { flushed.push_back(a); });
+            std::sort(flushed.begin(), flushed.end());
+            ASSERT_EQ(flushed, ref.flush()) << "step " << step;
+            continue;
+        }
+        if (op < 6) {
+            llc.invalidateLine(addr);
+            ref.invalidateLine(addr);
+            ASSERT_FALSE(llc.resident(addr)) << "step " << step;
+            continue;
+        }
+        const bool is_store = op < 24;
+        const LlcResult got = llc.access(addr, is_store);
+        const LlcResult want = ref.access(addr, is_store);
+        ASSERT_EQ(got.hit, want.hit) << "step " << step;
+        ASSERT_EQ(got.missed, want.missed) << "step " << step;
+        ASSERT_EQ(got.evictedDirty, want.evictedDirty) << "step " << step;
+        if (want.evictedDirty) {
+            ASSERT_EQ(got.victim, want.victim) << "step " << step;
+        }
+        ASSERT_TRUE(llc.resident(addr)) << "step " << step;
+        hits += got.hit;
+        dirty_victims += got.evictedDirty;
+    }
+    // The stream exercised both outcomes, not just one path.
+    EXPECT_GT(hits, 0u);
+    EXPECT_GT(dirty_victims, 0u);
+    for (Addr a = 0; a < static_cast<Addr>(space) * kLineSize;
+         a += kLineSize)
+        EXPECT_EQ(llc.resident(a), ref.resident(a));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, LlcVsReference,
+    ::testing::Combine(::testing::Values(1u, 2u, 3u, 11u),
+                       ::testing::Values(1u, 4u, 5u),
+                       ::testing::Values(2u, 4u)));

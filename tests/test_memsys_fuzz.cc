@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <tuple>
+#include <type_traits>
 
 #include "core/rng.hh"
 #include "sys/memsys.hh"
@@ -19,13 +21,33 @@ using namespace nvsim;
 namespace
 {
 
+/**
+ * gtest names each MemSysFuzz case by a byte dump of its parameter.
+ * The spare bytes are explicit, zeroed fields rather than padding, so
+ * a case has the same name in every build and every run.
+ */
 struct FuzzParams
 {
     MemoryMode mode;
     bool scatter;
+    std::uint8_t spare0[2];
     unsigned ways;
     DdoMode ddo;
+    std::uint8_t spare1[3];
 };
+static_assert(std::has_unique_object_representations_v<FuzzParams>,
+              "FuzzParams must have no padding");
+
+FuzzParams
+fuzzParams(MemoryMode mode, bool scatter, unsigned ways, DdoMode ddo)
+{
+    FuzzParams fp{};
+    fp.mode = mode;
+    fp.scatter = scatter;
+    fp.ways = ways;
+    fp.ddo = ddo;
+    return fp;
+}
 
 class MemSysFuzz : public ::testing::TestWithParam<FuzzParams>
 {
@@ -105,12 +127,12 @@ TEST_P(MemSysFuzz, InvariantsHoldUnderRandomTraffic)
 INSTANTIATE_TEST_SUITE_P(
     Sweep, MemSysFuzz,
     ::testing::Values(
-        FuzzParams{MemoryMode::TwoLm, false, 1, DdoMode::RecentTracker},
-        FuzzParams{MemoryMode::TwoLm, true, 1, DdoMode::RecentTracker},
-        FuzzParams{MemoryMode::TwoLm, false, 4, DdoMode::None},
-        FuzzParams{MemoryMode::TwoLm, true, 2, DdoMode::Oracle},
-        FuzzParams{MemoryMode::OneLm, false, 1, DdoMode::None},
-        FuzzParams{MemoryMode::OneLm, true, 1, DdoMode::None}));
+        fuzzParams(MemoryMode::TwoLm, false, 1, DdoMode::RecentTracker),
+        fuzzParams(MemoryMode::TwoLm, true, 1, DdoMode::RecentTracker),
+        fuzzParams(MemoryMode::TwoLm, false, 4, DdoMode::None),
+        fuzzParams(MemoryMode::TwoLm, true, 2, DdoMode::Oracle),
+        fuzzParams(MemoryMode::OneLm, false, 1, DdoMode::None),
+        fuzzParams(MemoryMode::OneLm, true, 1, DdoMode::None)));
 
 namespace
 {

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "dnn/liveness.hh"
 #include "dnn/networks.hh"
 #include "dnn/planner.hh"
@@ -62,6 +64,13 @@ struct NetCase
     std::uint64_t batch;
     double min_gb, max_gb;
 };
+
+/** Names each case after its network and batch, not its bytes. */
+void
+PrintTo(const NetCase &c, std::ostream *os)
+{
+    *os << c.name << "_batch" << c.batch;
+}
 
 class NetworkFootprint : public ::testing::TestWithParam<NetCase>
 {

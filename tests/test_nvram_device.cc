@@ -7,6 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <map>
+#include <set>
+#include <tuple>
+
+#include "core/rng.hh"
 #include "mem/nvram.hh"
 
 using namespace nvsim;
@@ -155,3 +162,191 @@ TEST(NvramDevice, AmplificationAccessors)
     EXPECT_DOUBLE_EQ(dev.writeAmplification(), 4.0);
     EXPECT_DOUBLE_EQ(dev.readAmplification(), 0.0);
 }
+
+// --- Reference-model property test ---------------------------------------
+
+namespace
+{
+
+/**
+ * Brute-force NVRAM buffer model: explicit LRU lists (front = least
+ * recently used), a std::map WPQ fill table and a per-epoch writer
+ * set, with the bulk runs spelled out as per-line loops. It is the
+ * device's documented semantics with no layout tricks.
+ */
+class RefNvram
+{
+  public:
+    RefNvram(unsigned read_entries, unsigned wpq_entries)
+        : readCap_(read_entries), wpqCap_(wpq_entries)
+    {
+    }
+
+    void
+    read(Addr addr)
+    {
+        ++epoch.demandReads;
+        Addr evicted;
+        if (!touch(readLru_, readCap_, mediaBlockBase(addr), evicted))
+            ++epoch.mediaReadBlocks;
+    }
+
+    void
+    write(Addr addr, std::uint16_t thread)
+    {
+        writers_.insert(thread);
+        epoch.writerStreams = writers_.size();
+        ++epoch.demandWrites;
+        const Addr block = mediaBlockBase(addr);
+        const unsigned slot =
+            static_cast<unsigned>((addr - block) / kLineSize);
+        Addr evicted = 0;
+        const bool hit = touch(wpqLru_, wpqCap_, block, evicted);
+        if (evicted != kNone) {
+            fill_.erase(evicted);
+            ++epoch.mediaWriteBlocks;
+        }
+        if (!hit)
+            fill_[block] = 0;
+        fill_[block] |= 1u << slot;
+        if (fill_[block] == 0xF) {
+            fill_.erase(block);
+            wpqLru_.remove(block);
+            ++epoch.mediaWriteBlocks;
+        }
+    }
+
+    void
+    readRun(Addr addr, std::uint64_t lines)
+    {
+        for (std::uint64_t i = 0; i < lines; ++i)
+            read(addr + i * kLineSize);
+    }
+
+    void
+    writeRun(Addr addr, std::uint64_t lines, std::uint16_t thread)
+    {
+        for (std::uint64_t i = 0; i < lines; ++i)
+            write(addr + i * kLineSize, thread);
+    }
+
+    void
+    flushWpq()
+    {
+        epoch.mediaWriteBlocks += wpqLru_.size();
+        wpqLru_.clear();
+        fill_.clear();
+    }
+
+    NvramEpoch
+    drainEpoch()
+    {
+        NvramEpoch e = epoch;
+        epoch = NvramEpoch{};
+        writers_.clear();
+        return e;
+    }
+
+    NvramEpoch epoch;
+
+  private:
+    static constexpr Addr kNone = ~Addr{0};
+
+    /** LRU touch; @p evicted is the dropped block or kNone. */
+    static bool
+    touch(std::list<Addr> &lru, unsigned cap, Addr block, Addr &evicted)
+    {
+        evicted = kNone;
+        auto it = std::find(lru.begin(), lru.end(), block);
+        if (it != lru.end()) {
+            lru.erase(it);
+            lru.push_back(block);
+            return true;
+        }
+        lru.push_back(block);
+        if (lru.size() > cap) {
+            evicted = lru.front();
+            lru.pop_front();
+        }
+        return false;
+    }
+
+    unsigned readCap_;
+    unsigned wpqCap_;
+    std::list<Addr> readLru_;
+    std::list<Addr> wpqLru_;
+    std::map<Addr, unsigned> fill_;
+    std::set<std::uint16_t> writers_;
+};
+
+std::tuple<std::uint64_t, std::uint64_t, std::uint64_t, std::uint64_t,
+           std::uint64_t>
+fields(const NvramEpoch &e)
+{
+    return {e.demandReads, e.demandWrites, e.mediaReadBlocks,
+            e.mediaWriteBlocks, e.writerStreams};
+}
+
+} // namespace
+
+/** (read-buffer entries, WPQ entries, seed) */
+class NvramVsReference
+    : public ::testing::TestWithParam<std::tuple<unsigned, unsigned, int>>
+{
+};
+
+TEST_P(NvramVsReference, RandomCallSequenceAgrees)
+{
+    auto [read_entries, wpq_entries, seed] = GetParam();
+    NvramParams p;
+    p.readBufferEntries = read_entries;
+    p.wpqEntries = wpq_entries;
+    NvramDevice dev(p);
+    RefNvram ref(read_entries, wpq_entries);
+
+    // A few more media blocks than buffer entries, so hits, evictions,
+    // partial fills and mid-run completions all occur.
+    constexpr std::uint64_t kLines = 8 * 4;
+    Rng rng(static_cast<std::uint64_t>(seed));
+    for (int step = 0; step < 20000; ++step) {
+        const Addr addr = rng.below(kLines) * kLineSize;
+        const auto thread = static_cast<std::uint16_t>(rng.below(4));
+        const std::uint64_t lines = 1 + rng.below(9);
+        switch (rng.below(20)) {
+          case 0:
+            dev.flushWpq();
+            ref.flushWpq();
+            break;
+          case 1:
+            ASSERT_EQ(fields(dev.drainEpoch()), fields(ref.drainEpoch()))
+                << "step " << step;
+            break;
+          case 2: case 3: case 4:
+            dev.readRun(addr, lines);
+            ref.readRun(addr, lines);
+            break;
+          case 5: case 6: case 7: case 8:
+            dev.writeRun(addr, lines, thread);
+            ref.writeRun(addr, lines, thread);
+            break;
+          case 9: case 10: case 11: case 12: case 13:
+            dev.read(addr, thread);
+            ref.read(addr);
+            break;
+          default:
+            dev.write(addr, thread);
+            ref.write(addr, thread);
+            break;
+        }
+        ASSERT_EQ(fields(dev.epoch()), fields(ref.epoch)) << "step " << step;
+    }
+    dev.flushWpq();
+    ref.flushWpq();
+    EXPECT_EQ(fields(dev.drainEpoch()), fields(ref.drainEpoch()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Buffers, NvramVsReference,
+    ::testing::Combine(::testing::Values(2u, 3u, 4u),
+                       ::testing::Values(2u, 3u, 4u),
+                       ::testing::Values(1, 2)));
