@@ -19,9 +19,6 @@ everything to one JSON file (default BENCH_PR10.json):
   - engine_comparison: wall-clock for --jobs=1 vs --jobs=<ncpu> and
     --per-line vs batched on fig2/fig4, with the CSV digests proving
     all variants produced byte-identical results;
-  - shard_scaling: fig4 wall-clock at --shard-threads=1/2/4 with
-    --jobs=1, with digests proving the sharded runs are byte-identical
-    to serial (speedup needs idle cores; identity does not);
   - maintenance: amplification and relative bandwidth per point of
     the bench_fault_degradation maintenance sweep, plus the headline
     verdicts (2LM inflates faster under maintenance, degrades faster
@@ -257,32 +254,6 @@ def engine_comparison(build, scratch):
                 round(per_line["seconds"] / serial["seconds"], 2),
             "csv_identical_across_variants": len(digests) == 1,
         }
-    return section
-
-
-def shard_scaling_section(build, scratch):
-    """Intra-run channel sharding on fig4 at widths 1/2/4, --jobs=1.
-
-    Wall clock per width plus the CSV digests proving the sharded runs
-    are byte-identical to serial. On a multi-core host the wider rows
-    should be faster; on a 1-core host (where the paper-repro CI runs)
-    the acceptance bar is no-regression, and the byte-identity
-    requirement is host-independent either way.
-    """
-    section = {"host_cpus": os.cpu_count() or 1}
-    variants = {}
-    for width in (1, 2, 4):
-        variants[f"shard{width}"] = timed_variant(
-            build, "bench_fig4_2lm_microbench",
-            "fig4_2lm_microbench.csv", scratch, f"shard{width}",
-            "--jobs=1", f"--shard-threads={width}")
-    base = variants["shard1"]["seconds"]
-    section.update(variants)
-    for width in (2, 4):
-        section[f"speedup_shard{width}"] = round(
-            base / variants[f"shard{width}"]["seconds"], 2)
-    section["csv_identical_across_widths"] = len(
-        {v["csv_sha256"] for v in variants.values()}) == 1
     return section
 
 
@@ -547,7 +518,6 @@ def main():
         }
 
         report["engine_comparison"] = engine_comparison(build, scratch)
-        report["shard_scaling"] = shard_scaling_section(build, scratch)
         report["maintenance"] = maintenance_section(build, scratch)
         report["telemetry"] = telemetry_section(build, scratch)
         report["queue_scaling"] = queue_scaling_section(build, scratch)
@@ -572,7 +542,6 @@ def main():
     ok = (report["causal_seed_comparison"]["same_seed_identical"]
           and report["flags_off"]["csv_bit_identical"]
           and engines_ok
-          and report["shard_scaling"]["csv_identical_across_widths"]
           and report["maintenance"]["two_lm_inflates_faster"]
           and report["telemetry"]["jobs_byte_identical"]
           and report["queue_scaling"]["jobs_byte_identical"]

@@ -23,34 +23,25 @@ run_suite() {
 run_suite build -DNVSIM_SANITIZE=OFF
 run_suite build-asan -DNVSIM_SANITIZE=ON
 
-# ThreadSanitizer pass over the concurrency engines: the sweep/shard
-# pool tests plus real bench runs exercising both the inter-run sweep
-# (--jobs) and the intra-run channel shard (--shard-threads), the
-# latter on both the plain microbench and the maintenance/fault sweep
-# (RNG-bearing per-channel state). Scoped to the concurrency-bearing
-# targets — the full suite is single-threaded and already covered.
-echo "=== TSan suite (sweep pool + channel shard) ==="
+# ThreadSanitizer pass over the sweep engine, the only code that runs
+# threads: the pool tests, repeated so the batch-reuse path runs many
+# times, plus real bench sweeps at --jobs > 1. Scoped to these targets
+# — the rest of the suite is single-threaded and already covered.
+echo "=== TSan suite (sweep pool) ==="
 cmake -B "$root/build-tsan" -S "$root" -DNVSIM_SANITIZE=thread
 cmake --build "$root/build-tsan" -j "$jobs" \
     --target test_exec test_access_range bench_fig4_2lm_microbench \
-    bench_fault_degradation bench_queue_load
+    bench_queue_load
 # Run the binaries directly: the tree only builds these targets, and
 # ctest would trip over every other test's _NOT_BUILT placeholder.
-"$root/build-tsan/tests/test_exec"
+"$root/build-tsan/tests/test_exec" --gtest_repeat=20
 "$root/build-tsan/tests/test_access_range"
 tsan_dir=$(mktemp -d)
 (cd "$tsan_dir" && \
     "$root/build-tsan/bench/bench_fig4_2lm_microbench" --jobs=4 \
     > bench.log)
 (cd "$tsan_dir" && \
-    "$root/build-tsan/bench/bench_fig4_2lm_microbench" --jobs=1 \
-    --shard-threads=4 > bench_shard.log)
-(cd "$tsan_dir" && \
-    "$root/build-tsan/bench/bench_fault_degradation" \
-    --shard-threads=4 > fault_shard.log)
-(cd "$tsan_dir" && \
-    "$root/build-tsan/bench/bench_queue_load" --jobs=2 \
-    --shard-threads=4 > queue_shard.log)
+    "$root/build-tsan/bench/bench_queue_load" --jobs=2 > queue.log)
 rm -rf "$tsan_dir"
 echo "TSan suite passed: no data races reported."
 
@@ -73,22 +64,6 @@ diff -r "$det_dir/jobs1" "$det_dir/jobs4"
 diff -r "$det_dir/jobs1" "$det_dir/perline"
 rm -rf "$det_dir"
 echo "determinism smoke passed: outputs byte-identical."
-
-# Shard byte-diff: the intra-run channel shard must reproduce the
-# serial run byte-for-byte — console, CSV, and the telemetry exports
-# (counter totals, latency percentiles, per-window series) alike.
-echo "=== shard determinism (--shard-threads byte-diff) ==="
-shard_dir=$(mktemp -d)
-for n in 1 4; do
-    mkdir -p "$shard_dir/shard$n"
-    (cd "$shard_dir/shard$n" && \
-        "$root/build/bench/bench_fig4_2lm_microbench" --jobs=1 \
-        --shard-threads=$n --telemetry=tel.csv \
-        --telemetry-json=tel.json > stdout.txt)
-done
-diff -r "$shard_dir/shard1" "$shard_dir/shard4"
-rm -rf "$shard_dir"
-echo "shard determinism passed: outputs byte-identical at any width."
 
 # Observability smoke: one bench run with every obs output enabled;
 # both JSON artifacts must parse (json.tool exits nonzero otherwise).
@@ -350,13 +325,11 @@ echo "queue-off byte-diff passed: analytic controller equals the seed."
 # Saturated-channel smoke: the queued-controller load sweep must show
 # the tail pulling away from the median as the offered load crosses
 # the channel service knee (the bench's own verdict line), report
-# nonzero queue activity, and stay byte-identical across --jobs and
-# --shard-threads — the deferred epoch-end drain is part of the
-# determinism contract.
+# nonzero queue activity, and stay byte-identical across --jobs — the
+# deferred epoch-end drain is part of the determinism contract.
 echo "=== queue smoke (bench_queue_load saturation + determinism) ==="
 ql_dir=$(mktemp -d)
-for variant in "jobs1 --jobs=1" "jobs4 --jobs=4" \
-               "shard4 --jobs=1 --shard-threads=4"; do
+for variant in "jobs1 --jobs=1" "jobs4 --jobs=4"; do
     name=${variant%% *}
     flags=${variant#* }
     mkdir -p "$ql_dir/$name"
@@ -365,7 +338,6 @@ for variant in "jobs1 --jobs=1" "jobs4 --jobs=4" \
         "$root/build/bench/bench_queue_load" $flags > stdout.txt)
 done
 diff -r "$ql_dir/jobs1" "$ql_dir/jobs4"
-diff -r "$ql_dir/jobs1" "$ql_dir/shard4"
 grep -q "tail stretches under load (as expected)" \
     "$ql_dir/jobs1/stdout.txt"
 grep -q "^analytic,0,.*,0,0,0,0$" "$ql_dir/jobs1/queue_load.csv"

@@ -47,19 +47,29 @@ SweepRunner::workerLoop()
             if (stop_)
                 return;
             seen = batchId_;
+            // The batch finished before this worker woke: its claim
+            // index belongs to whichever batch the caller starts next.
+            if (!task_)
+                continue;
             task = task_;
             n = batchSize_;
+            ++active_;
         }
+        std::size_t done = 0;
         for (;;) {
             std::size_t i =
                 nextIndex_.fetch_add(1, std::memory_order_relaxed);
             if (i >= n)
                 break;
             (*task)(i);
-            std::lock_guard<std::mutex> lk(m_);
-            if (++completed_ == n)
-                doneCv_.notify_all();
+            ++done;
         }
+        // Leave the batch under m_: runIndexed() returns (and may reset
+        // nextIndex_ for the next batch) only once no worker is inside.
+        std::lock_guard<std::mutex> lk(m_);
+        completed_ += done;
+        if (--active_ == 0)
+            doneCv_.notify_all();
     }
 }
 
@@ -83,7 +93,7 @@ SweepRunner::runIndexed(std::size_t n,
     nextIndex_.store(0, std::memory_order_relaxed);
     ++batchId_;
     workCv_.notify_all();
-    doneCv_.wait(lk, [&] { return completed_ == n; });
+    doneCv_.wait(lk, [&] { return completed_ == n && active_ == 0; });
     task_ = nullptr;
     batchSize_ = 0;
 }

@@ -124,6 +124,7 @@ class SweepRunner
     std::size_t batchSize_ = 0;
     std::uint64_t batchId_ = 0;  //!< bumped per runIndexed()
     std::size_t completed_ = 0;  //!< tasks finished in current batch
+    unsigned active_ = 0;        //!< workers inside the current batch
     bool stop_ = false;
     std::atomic<std::size_t> nextIndex_{0};
 };

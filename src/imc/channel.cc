@@ -83,32 +83,32 @@ ChannelController::handleFast(MemRequestKind kind, Addr addr,
         }
         if (cr.wroteBack)
             nvram_.write(cr.victim, thread);
-        ctr_->addOutcome(kind, cr.outcome);
-        ctr_->addActions(cr.actions);
-        ctr_->missBypass += cr.bypassed;
-        ctr_->sramTagLookups += cr.tagsInSram;
+        counters_.addOutcome(kind, cr.outcome);
+        counters_.addActions(cr.actions);
+        counters_.missBypass += cr.bypassed;
+        counters_.sramTagLookups += cr.tagsInSram;
         return cache_->demandLatency(kind, cr, lat_);
     }
 
     // 1LM: one direct device access.
-    ctr_->addOutcome(kind, CacheOutcome::Uncached);
+    counters_.addOutcome(kind, CacheOutcome::Uncached);
     if (kind == MemRequestKind::LlcRead) {
         if (pool == MemPool::Dram) {
             dram_.read(1);
-            ctr_->dramRead += 1;
+            counters_.dramRead += 1;
             return params_.dram.latency;
         }
         nvram_.read(addr, thread);
-        ctr_->nvramRead += 1;
+        counters_.nvramRead += 1;
         return params_.nvram.readLatency;
     }
     if (pool == MemPool::Dram) {
         dram_.write(1);
-        ctr_->dramWrite += 1;
+        counters_.dramWrite += 1;
         return params_.dram.latency;
     }
     nvram_.write(addr, thread);
-    ctr_->nvramWrite += 1;
+    counters_.nvramWrite += 1;
     return params_.nvram.writeLatency;
 }
 
@@ -118,24 +118,24 @@ ChannelController::handleFastRun1lm(MemRequestKind kind, Addr addr,
                                     std::uint16_t thread, MemPool pool)
 {
     if (kind == MemRequestKind::LlcRead) {
-        ctr_->llcReads += lines;
+        counters_.llcReads += lines;
         if (pool == MemPool::Dram) {
             dram_.read(lines);
-            ctr_->dramRead += lines;
+            counters_.dramRead += lines;
             return params_.dram.latency;
         }
         nvram_.readRun(addr, lines);
-        ctr_->nvramRead += lines;
+        counters_.nvramRead += lines;
         return params_.nvram.readLatency;
     }
-    ctr_->llcWrites += lines;
+    counters_.llcWrites += lines;
     if (pool == MemPool::Dram) {
         dram_.write(lines);
-        ctr_->dramWrite += lines;
+        counters_.dramWrite += lines;
         return params_.dram.latency;
     }
     nvram_.writeRun(addr, lines, thread);
-    ctr_->nvramWrite += lines;
+    counters_.nvramWrite += lines;
     return params_.nvram.writeLatency;
 }
 
@@ -161,14 +161,14 @@ ChannelController::noteMediaFault(const MediaFault &f,
     if (!f.any())
         return;
     result.fault.retries += f.retries;
-    ctr_->retries += f.retries;
+    counters_.retries += f.retries;
     if (f.correctable) {
         result.fault.correctable += 1;
-        ctr_->correctableErrors += 1;
+        counters_.correctableErrors += 1;
     }
     if (f.uncorrectable) {
         result.fault.uncorrectable += 1;
-        ctr_->uncorrectableErrors += 1;
+        counters_.uncorrectableErrors += 1;
         if (demand_line) {
             result.fault.demandPoisoned = true;
         } else {
@@ -210,9 +210,9 @@ ChannelController::handle2lm(const MemRequest &req)
         MediaFault df = faultPlan_.dramRead();
         if (df.uncorrectable) {
             TagCorruption tc = cache_->corruptTag(req.addr);
-            ctr_->tagEccInvalidates += 1;
-            ctr_->uncorrectableErrors += 1;
-            ctr_->retries += df.retries;
+            counters_.tagEccInvalidates += 1;
+            counters_.uncorrectableErrors += 1;
+            counters_.retries += df.retries;
             result.fault.tagEccInvalidates += 1;
             result.fault.uncorrectable += 1;
             result.fault.retries += df.retries;
@@ -221,8 +221,8 @@ ChannelController::handle2lm(const MemRequest &req)
                 result.fault.victimLine = tc.line;
             }
         } else if (df.correctable) {
-            ctr_->correctableErrors += 1;
-            ctr_->retries += df.retries;
+            counters_.correctableErrors += 1;
+            counters_.retries += df.retries;
             result.fault.correctable += 1;
             result.fault.retries += df.retries;
         }
@@ -233,10 +233,10 @@ ChannelController::handle2lm(const MemRequest &req)
                          : cache_->write(req.addr);
     applyActions(req, cr, result);
 
-    ctr_->addOutcome(req.kind, cr.outcome);
-    ctr_->addActions(cr.actions);
-    ctr_->missBypass += cr.bypassed;
-    ctr_->sramTagLookups += cr.tagsInSram;
+    counters_.addOutcome(req.kind, cr.outcome);
+    counters_.addActions(cr.actions);
+    counters_.missBypass += cr.bypassed;
+    counters_.sramTagLookups += cr.tagsInSram;
     if (cr.filled)
         ++epochMisses_;
 
@@ -255,12 +255,12 @@ ChannelController::handle1lm(const MemRequest &req, MemPool pool)
 {
     AccessResult result;
     result.outcome = CacheOutcome::Uncached;
-    ctr_->addOutcome(req.kind, CacheOutcome::Uncached);
+    counters_.addOutcome(req.kind, CacheOutcome::Uncached);
 
     if (req.kind == MemRequestKind::LlcRead) {
         if (pool == MemPool::Dram) {
             dram_.read(1);
-            ctr_->dramRead += 1;
+            counters_.dramRead += 1;
             result.actions.dramReads = 1;
             result.latency = lat_.dram;
             if (faultPlan_.enabled()) {
@@ -268,15 +268,15 @@ ChannelController::handle1lm(const MemRequest &req, MemPool pool)
                 // ECC fault poisons the data line only.
                 MediaFault df = faultPlan_.dramRead();
                 if (df.uncorrectable) {
-                    ctr_->uncorrectableErrors += 1;
-                    ctr_->retries += df.retries;
+                    counters_.uncorrectableErrors += 1;
+                    counters_.retries += df.retries;
                     result.fault.uncorrectable += 1;
                     result.fault.retries += df.retries;
                     result.fault.demandPoisoned = true;
                     result.fault.dramUncorrectable += 1;
                 } else if (df.correctable) {
-                    ctr_->correctableErrors += 1;
-                    ctr_->retries += df.retries;
+                    counters_.correctableErrors += 1;
+                    counters_.retries += df.retries;
                     result.fault.correctable += 1;
                     result.fault.retries += df.retries;
                 }
@@ -284,20 +284,20 @@ ChannelController::handle1lm(const MemRequest &req, MemPool pool)
         } else {
             noteMediaFault(nvram_.read(req.addr, req.thread), result,
                            /*demand_line=*/true, req.addr);
-            ctr_->nvramRead += 1;
+            counters_.nvramRead += 1;
             result.actions.nvramReads = 1;
             result.latency = params_.nvram.readLatency;
         }
     } else {
         if (pool == MemPool::Dram) {
             dram_.write(1);
-            ctr_->dramWrite += 1;
+            counters_.dramWrite += 1;
             result.actions.dramWrites = 1;
             result.latency = lat_.dram;
         } else {
             noteMediaFault(nvram_.write(req.addr, req.thread), result,
                            /*demand_line=*/true, req.addr);
-            ctr_->nvramWrite += 1;
+            counters_.nvramWrite += 1;
             result.actions.nvramWrites = 1;
             result.latency = params_.nvram.writeLatency;
         }
@@ -339,8 +339,8 @@ ChannelController::runMaintenance(const MemRequest &req, MemPool pool,
         // The patrol read steals a demand slot on the DRAM device and
         // activates the scrubbed frame's row like any other read.
         dram_.read(1);
-        ctr_->dramRead += 1;
-        ctr_->scrubReads += 1;
+        counters_.dramRead += 1;
+        counters_.scrubReads += 1;
         maint_.noteScrubTime(lat_.dram);
         result.latency += lat_.dram;
         if (req.traced)
@@ -349,7 +349,7 @@ ChannelController::runMaintenance(const MemRequest &req, MemPool pool,
         triggers += maint_.noteActivation(sc.frame, 1);
 
         if (sc.uncorrectableError) {
-            ctr_->uncorrectableErrors += 1;
+            counters_.uncorrectableErrors += 1;
             result.fault.uncorrectable += 1;
             if (mode_ == MemoryMode::TwoLm) {
                 // The UE took the in-ECC tag with it: the frame's line
@@ -358,7 +358,7 @@ ChannelController::runMaintenance(const MemRequest &req, MemPool pool,
                 TagCorruption tc = sc.retire
                                        ? cache_->retireFrame(sc.frame)
                                        : cache_->corruptTag(sc.frame);
-                ctr_->tagEccInvalidates += 1;
+                counters_.tagEccInvalidates += 1;
                 result.fault.tagEccInvalidates += 1;
                 if (tc.dropped && tc.wasDirty) {
                     result.fault.victimPoisoned = true;
@@ -371,12 +371,12 @@ ChannelController::runMaintenance(const MemRequest &req, MemPool pool,
                 result.fault.victimLine = sc.frame;
             }
         } else if (sc.correctableError) {
-            ctr_->correctableErrors += 1;
-            ctr_->scrubCorrected += 1;
+            counters_.correctableErrors += 1;
+            counters_.scrubCorrected += 1;
             result.fault.correctable += 1;
             // Scrub in place: write the corrected line back.
             dram_.write(1);
-            ctr_->dramWrite += 1;
+            counters_.dramWrite += 1;
             if (sc.retire && mode_ == MemoryMode::TwoLm) {
                 TagCorruption tc = cache_->retireFrame(sc.frame);
                 if (tc.dropped && tc.wasDirty) {
@@ -386,19 +386,19 @@ ChannelController::runMaintenance(const MemRequest &req, MemPool pool,
                     noteMediaFault(nvram_.write(tc.line, req.thread),
                                    result, /*demand_line=*/false,
                                    tc.line);
-                    ctr_->nvramWrite += 1;
+                    counters_.nvramWrite += 1;
                 }
             }
         }
         if (sc.retire) {
-            ctr_->linesRetired += 1;
+            counters_.linesRetired += 1;
             result.fault.linesRetired += 1;
             result.fault.retiredLine = sc.frame;
         }
     }
 
     if (triggers > 0) {
-        ctr_->targetedRefreshes += triggers;
+        counters_.targetedRefreshes += triggers;
         result.fault.targetedRefreshes += triggers;
         double t = static_cast<double>(triggers) *
                    maint_.config().rowhammer.blastRadius *
@@ -526,8 +526,6 @@ ChannelController::noteMaintenanceEpoch(const ChannelEpoch &epoch,
     if (!maint_.enabled())
         return;
     std::uint64_t slots = maint_.closeEpoch(dt);
-    // Epoch-barrier bookkeeping: always on the merging thread, so it
-    // writes the channel's real block, never a shard delta.
     counters_.refreshSlots += slots;
     double stall = epoch.maintTime + maint_.drainScrubTime() +
                    static_cast<double>(slots) *

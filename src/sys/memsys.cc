@@ -5,7 +5,6 @@
 
 #include "core/logging.hh"
 #include "core/rng.hh"
-#include "exec/shard.hh"
 #include "obs/causal.hh"
 #include "obs/observer.hh"
 #include "obs/telemetry/telemetry.hh"
@@ -17,9 +16,6 @@ namespace
 {
 /** Process-wide engine default for new systems (--per-line flag). */
 bool g_batched_default = true;
-
-/** Process-wide shard default for new systems (--shard-threads). */
-unsigned g_shard_threads_default = 1;
 
 /** Provenance digest of the full config (any knob changes the hash). */
 obs::ConfigDigest
@@ -34,29 +30,6 @@ void
 MemorySystem::setBatchedAccessDefault(bool on)
 {
     g_batched_default = on;
-}
-
-void
-MemorySystem::setShardThreadsDefault(unsigned n)
-{
-    g_shard_threads_default = n ? n : 1;
-}
-
-void
-MemorySystem::setShardThreads(unsigned n)
-{
-    if (n == 0)
-        n = 1;
-    if (n == shardThreads_)
-        return;
-    // Join the old pool's work before the engine changes shape.
-    syncShard();
-    shard_.reset();
-    shardThreads_ = n;
-    if (n > 1) {
-        shard_ =
-            std::make_unique<exec::ShardEngine>(n, numChannels());
-    }
 }
 
 MemorySystem::MemorySystem(const SystemConfig &config)
@@ -76,7 +49,6 @@ MemorySystem::MemorySystem(const SystemConfig &config)
         online_.push_back(i);
     }
     imap_.rebuild(config_.interleaveGranularity, online_.size());
-    setShardThreads(g_shard_threads_default);
 
     queued_ = config_.controller.queued();
     if (queued_) {
@@ -129,9 +101,6 @@ MemorySystem::attachObserver(obs::Observer *observer)
 {
     if (obs_ == observer)
         return;
-    // Recorded shard work must land before the observer's formulas go
-    // live (and before shardActive() flips off under it).
-    syncShard();
     detachObserver();
     obs_ = observer;
     if (!obs_)
@@ -420,8 +389,6 @@ MemorySystem::isPoisoned(Addr addr)
 {
     if (!faultEnabled_ && !maintEnabled_)
         return false;
-    // Pending shard replay may still create or clear poison.
-    syncShard();
     return poisoned_.count(lineBase(translate(addr))) != 0;
 }
 
@@ -500,23 +467,6 @@ MemorySystem::issueToImc(MemRequestKind kind, Addr line_addr,
     Addr local;
     unsigned ch_idx = online_[imap_.route(phys, local)];
 
-    if (shardActive()) {
-        // Record for the worker pool. The poison pre-check below never
-        // affects the channel's own handling, so it is deferred to the
-        // arrival-order replay in syncShard(), where poisoned_ carries
-        // the state the serial engine would have seen.
-        exec::ShardOp op;
-        op.local = local;
-        op.phys = phys;
-        op.kind = kind;
-        op.pool = poolOf(phys);
-        op.thread = static_cast<std::uint16_t>(thread);
-        op.mode = exec::ShardOpMode::Full;
-        op.chargeDemand = charge_demand;
-        shard_->pushOp(ch_idx, op);
-        return;
-    }
-
     if ((faultEnabled_ || maintEnabled_) && !poisoned_.empty()) {
         if (kind == MemRequestKind::LlcRead) {
             if (charge_demand && poisoned_.count(phys)) {
@@ -585,14 +535,11 @@ MemorySystem::touchLine(unsigned thread, CpuOp op, Addr line_addr)
         LlcResult lr = llc_.access(line_addr, op == CpuOp::Store);
         epochLoadBytes_ += kLineSize;
         if (lr.hit) {
-            if (shardActive()) {
+            if (queued_) {
                 // The hit's latency contribution must interleave with
                 // the queued misses' in program order (floating-point
-                // accumulation), so it goes through the order log too.
-                shard_->pushLlcHit();
-            } else if (queued_) {
-                // Same program-order rule for the queued drain: the
-                // hit accumulates at its txLog_ position.
+                // accumulation), so it accumulates at its txLog_
+                // position at the drain.
                 QueuedDemandRec rec;
                 rec.kind = 0;
                 txLog_.push_back(rec);
@@ -622,19 +569,6 @@ MemorySystem::touchLine(unsigned thread, CpuOp op, Addr line_addr)
     }
     epochDemandBytes_ += kLineSize;
     maybeFinishEpoch();
-}
-
-void
-MemorySystem::access(unsigned thread, CpuOp op, Addr addr, Bytes size)
-{
-    submit({thread, op, addr, size});
-}
-
-void
-MemorySystem::accessRange(unsigned thread, CpuOp op, Addr addr,
-                          Bytes size)
-{
-    submit({thread, op, addr, size});
 }
 
 void
@@ -674,108 +608,39 @@ MemorySystem::submit(const AccessBatch &batch)
     }
 }
 
-/**
- * fastRangeImpl emitter: execute every event immediately against the
- * channels and accumulate its latency — the classic serial engine.
- */
-struct MemorySystem::ImmediateEmit
-{
-    MemorySystem &s;
-
-    void
-    single(unsigned ch_idx, Addr local, MemRequestKind kind,
-           std::uint16_t tid, MemPool pool)
-    {
-        double lat = s.channels_[ch_idx].handleFast(kind, local, tid,
-                                                    pool);
-        s.epochLatencyWork_ += lat;
-        if (s.tel_)
-            s.tel_->noteLatency(lat);
-    }
-
-    void
-    run(unsigned ch_idx, Addr local, std::uint64_t n,
-        MemRequestKind kind, std::uint16_t tid, MemPool pool)
-    {
-        double lat = s.channels_[ch_idx].handleFastRun1lm(kind, local, n,
-                                                          tid, pool);
-        // Line-by-line accumulation, in the per-line loop's order.
-        for (std::uint64_t i = 0; i < n; ++i)
-            s.epochLatencyWork_ += lat;
-        if (s.tel_)
-            s.tel_->noteLatency(lat, n);
-    }
-
-    void
-    hit()
-    {
-        s.epochLatencyWork_ += s.config_.llcHitLatency;
-        if (s.tel_)
-            s.tel_->noteLatency(s.config_.llcHitLatency);
-    }
-};
-
-/**
- * fastRangeImpl emitter: record every event for the shard pool. The
- * LLC hit marker rides the order log so its latency contribution
- * replays interleaved with the misses' exactly as ImmediateEmit
- * would have accumulated them.
- */
-struct MemorySystem::ShardEmit
-{
-    MemorySystem &s;
-
-    void
-    single(unsigned ch_idx, Addr local, MemRequestKind kind,
-           std::uint16_t tid, MemPool pool)
-    {
-        exec::ShardOp op;
-        op.local = local;
-        op.kind = kind;
-        op.pool = pool;
-        op.thread = tid;
-        op.mode = exec::ShardOpMode::Fast;
-        s.shard_->pushOp(ch_idx, op);
-    }
-
-    void
-    run(unsigned ch_idx, Addr local, std::uint64_t n,
-        MemRequestKind kind, std::uint16_t tid, MemPool pool)
-    {
-        exec::ShardOp op;
-        op.local = local;
-        op.lines = n;
-        op.kind = kind;
-        op.pool = pool;
-        op.thread = tid;
-        op.mode = exec::ShardOpMode::Run1lm;
-        s.shard_->pushOp(ch_idx, op);
-    }
-
-    void hit() { s.shard_->pushLlcHit(); }
-};
-
 void
 MemorySystem::fastRange(unsigned thread, CpuOp op, Addr first,
                         std::uint64_t lines)
 {
-    if (shardActive()) {
-        ShardEmit emit{*this};
-        fastRangeImpl(thread, op, first, lines, emit);
-    } else {
-        ImmediateEmit emit{*this};
-        fastRangeImpl(thread, op, first, lines, emit);
-    }
-}
-
-template <typename Emit>
-void
-MemorySystem::fastRangeImpl(unsigned thread, CpuOp op, Addr first,
-                            std::uint64_t lines, Emit &emit)
-{
     const Bytes gran = config_.interleaveGranularity;
     const bool two_lm = config_.mode == MemoryMode::TwoLm;
     const std::uint16_t tid = static_cast<std::uint16_t>(thread);
+
+    // The three latency contributions, accumulated into
+    // epochLatencyWork_ (and the telemetry sketch) in exactly the
+    // per-line loop's order.
+    auto single = [&](unsigned ch_idx, Addr local, MemRequestKind kind,
+                      MemPool pool) {
+        double lat = channels_[ch_idx].handleFast(kind, local, tid, pool);
+        epochLatencyWork_ += lat;
+        if (tel_)
+            tel_->noteLatency(lat);
+    };
+    auto run = [&](unsigned ch_idx, Addr local, std::uint64_t n,
+                   MemRequestKind kind, MemPool pool) {
+        double lat =
+            channels_[ch_idx].handleFastRun1lm(kind, local, n, tid, pool);
+        // Line-by-line accumulation, in the per-line loop's order.
+        for (std::uint64_t i = 0; i < n; ++i)
+            epochLatencyWork_ += lat;
+        if (tel_)
+            tel_->noteLatency(lat, n);
+    };
+    auto hit = [&]() {
+        epochLatencyWork_ += config_.llcHitLatency;
+        if (tel_)
+            tel_->noteLatency(config_.llcHitLatency);
+    };
 
     Addr a = first;
     std::uint64_t left = lines;
@@ -802,11 +667,9 @@ MemorySystem::fastRangeImpl(unsigned thread, CpuOp op, Addr first,
             if (two_lm) {
                 Addr end = local + n * kLineSize;
                 for (Addr ll = local; ll < end; ll += kLineSize)
-                    emit.single(ch_idx, ll, MemRequestKind::LlcWrite,
-                                tid, pool);
+                    single(ch_idx, ll, MemRequestKind::LlcWrite, pool);
             } else {
-                emit.run(ch_idx, local, n, MemRequestKind::LlcWrite,
-                         tid, pool);
+                run(ch_idx, local, n, MemRequestKind::LlcWrite, pool);
             }
         } else {
             const bool is_store = op == CpuOp::Store;
@@ -821,15 +684,15 @@ MemorySystem::fastRangeImpl(unsigned thread, CpuOp op, Addr first,
             auto flush_run = [&]() {
                 if (!run_lines)
                     return;
-                emit.run(ch_idx, run_local, run_lines,
-                         MemRequestKind::LlcRead, tid, pool);
+                run(ch_idx, run_local, run_lines, MemRequestKind::LlcRead,
+                    pool);
                 run_lines = 0;
             };
             auto issue_victim = [&](Addr victim) {
                 Addr vlocal;
                 unsigned vch = online_[imap_.route(victim, vlocal)];
-                emit.single(vch, vlocal, MemRequestKind::LlcWrite, tid,
-                            poolOf(victim));
+                single(vch, vlocal, MemRequestKind::LlcWrite,
+                       poolOf(victim));
             };
             Addr ll = local;
             for (Addr la = a; la < seg_end;
@@ -837,12 +700,11 @@ MemorySystem::fastRangeImpl(unsigned thread, CpuOp op, Addr first,
                 LlcResult lr = llc_.access(la, is_store);
                 if (lr.hit) {
                     flush_run();
-                    emit.hit();
+                    hit();
                     continue;
                 }
                 if (two_lm) {
-                    emit.single(ch_idx, ll, MemRequestKind::LlcRead,
-                                tid, pool);
+                    single(ch_idx, ll, MemRequestKind::LlcRead, pool);
                     if (lr.evictedDirty)
                         issue_victim(lr.victim);
                 } else {
@@ -883,15 +745,9 @@ MemorySystem::dmaCopy(Addr dst, Addr src, Bytes bytes)
         if (faultEnabled_) {
             // Poison flows through DMA copies: the engine moves the
             // poisoned payload without consuming it (no machine check
-            // until a core load touches the destination). Sharded, the
-            // check rides the order log — poisoned_ only reaches this
-            // copy's state during the replay, so testing it now would
-            // read a stale set.
-            if (shardActive()) {
-                shard_->pushDmaPoison(lineBase(translate(s)),
-                                      lineBase(translate(d)));
-            } else if (!poisoned_.empty() &&
-                       poisoned_.count(lineBase(translate(s)))) {
+            // until a core load touches the destination).
+            if (!poisoned_.empty() &&
+                poisoned_.count(lineBase(translate(s)))) {
                 addPoison(lineBase(translate(d)), /*propagated=*/true);
             }
         }
@@ -933,96 +789,6 @@ void
 MemorySystem::advanceEpoch()
 {
     finishEpoch();
-}
-
-void
-MemorySystem::syncShard()
-{
-    if (!shard_ || !shard_->pending())
-        return;
-
-    // Parallel phase: one worker per channel executes that channel's
-    // queued ops in order; counter deltas merge at the batch barrier.
-    shard_->execute(channels_.data());
-
-    // Ordered replay of the global effects. now_ is constant within an
-    // epoch, so the FaultLog timestamps written here are the ones the
-    // serial engine would have recorded at issue time.
-    const bool fm = faultEnabled_ || maintEnabled_;
-    shard_->drain(
-        [&](unsigned ch_idx, exec::ShardOp &op) {
-            switch (op.mode) {
-              case exec::ShardOpMode::Full:
-                // The deferred issue-side poison pre-check (see
-                // issueToImc): it must see poisoned_ as of this op's
-                // position in program order, and it must precede this
-                // op's own fault notes.
-                if (fm && !poisoned_.empty()) {
-                    if (op.kind == MemRequestKind::LlcRead) {
-                        if (op.chargeDemand &&
-                            poisoned_.count(op.phys)) {
-                            faultLog_.record(
-                                now_, ch_idx,
-                                FaultEventKind::PoisonConsumed,
-                                op.phys);
-                            clearPoison(op.phys);
-                        }
-                    } else {
-                        clearPoison(op.phys);
-                    }
-                }
-                if (queued_) {
-                    // Queued + sharded: the replay reconstructs the
-                    // arrival-order log the serial queued engine would
-                    // have built (DMA traffic rides along as
-                    // interference, chargeDemand=false).
-                    QueuedDemandRec rec;
-                    rec.service = op.latency;
-                    rec.local = op.local;
-                    rec.ch = ch_idx;
-                    rec.thread = op.thread;
-                    rec.kind =
-                        op.kind == MemRequestKind::LlcRead ? 1 : 2;
-                    rec.chargeDemand = op.chargeDemand;
-                    txLog_.push_back(rec);
-                } else if (op.chargeDemand) {
-                    epochLatencyWork_ += op.latency;
-                    if (tel_)
-                        tel_->noteLatency(op.latency);
-                }
-                if (fm && op.fault.any()) {
-                    noteRequestFaults(op.fault, op.kind, op.phys,
-                                      ch_idx, op.chargeDemand);
-                }
-                break;
-              case exec::ShardOpMode::Fast:
-                epochLatencyWork_ += op.latency;
-                if (tel_)
-                    tel_->noteLatency(op.latency);
-                break;
-              case exec::ShardOpMode::Run1lm:
-                for (std::uint64_t i = 0; i < op.lines; ++i)
-                    epochLatencyWork_ += op.latency;
-                if (tel_)
-                    tel_->noteLatency(op.latency, op.lines);
-                break;
-            }
-        },
-        [&] {
-            if (queued_) {
-                QueuedDemandRec rec;
-                rec.kind = 0;
-                txLog_.push_back(rec);
-            } else {
-                epochLatencyWork_ += config_.llcHitLatency;
-                if (tel_)
-                    tel_->noteLatency(config_.llcHitLatency);
-            }
-        },
-        [&](Addr src, Addr dst) {
-            if (poisoned_.count(src))
-                addPoison(dst, /*propagated=*/true);
-        });
 }
 
 double
@@ -1113,7 +879,7 @@ MemorySystem::runQueuedDrain()
     }
 
     // Fixed channel order: the single accumulation point that keeps
-    // queued output byte-identical at any --jobs / --shard-threads.
+    // queued output byte-identical at any --jobs.
     for (auto &ch : channels_)
         ch.drainQueues();
     txLog_.clear();
@@ -1123,12 +889,9 @@ MemorySystem::runQueuedDrain()
 void
 MemorySystem::finishEpoch()
 {
-    // Join the shard barrier first: the epoch solver below reads the
-    // drained channel traffic and the replayed latency work. Then the
-    // queued controller replays the epoch's arrival log through the
-    // channel queues, folding queue wait into the latency work and the
-    // queue counters before anything samples them.
-    syncShard();
+    // The queued controller replays the epoch's arrival log through
+    // the channel queues first, folding queue wait into the latency
+    // work and the queue counters before anything samples them.
     runQueuedDrain();
 
     // Resource-side: each channel moves its epoch traffic in parallel
@@ -1311,9 +1074,6 @@ MemorySystem::quiesce()
     llc_.flush([this](Addr line) {
         issueToImc(MemRequestKind::LlcWrite, line, 0);
     });
-    // The flush may have recorded shard work: execute it before the
-    // write buffers drain, or the drained state would miss it.
-    syncShard();
     for (auto &ch : channels_)
         ch.drainBuffers();
     finishEpoch();
@@ -1339,7 +1099,6 @@ MemorySystem::resetCounters()
 PerfCounters
 MemorySystem::counters() const
 {
-    const_cast<MemorySystem *>(this)->syncShard();
     PerfCounters total;
     for (const auto &ch : channels_)
         total += ch.counters();
@@ -1384,7 +1143,6 @@ MemorySystem::offlineChannel(unsigned idx)
 double
 MemorySystem::nvramWriteAmplification() const
 {
-    const_cast<MemorySystem *>(this)->syncShard();
     Bytes demand = 0, media = 0;
     for (const auto &ch : channels_) {
         const NvramEpoch &t = ch.nvram().total();

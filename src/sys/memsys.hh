@@ -41,11 +41,6 @@
 namespace nvsim
 {
 
-namespace exec
-{
-class ShardEngine;
-} // namespace exec
-
 namespace obs
 {
 class Observer;
@@ -71,8 +66,7 @@ struct Region
  * One demand access, as submit() consumes it: a thread's operation
  * over a byte range, split into 64 B lines by the engine. The single
  * unit of work for every access engine — per-line reference, batched,
- * sharded, queued — so callers no longer choose an engine by method
- * name.
+ * queued — so callers never choose an engine by method name.
  */
 struct AccessBatch
 {
@@ -126,20 +120,14 @@ class MemorySystem
      */
     void submit(const AccessBatch &batch);
 
-    /** Deprecated: thin wrapper over submit(); migrate this PR. */
-    void access(unsigned thread, CpuOp op, Addr addr, Bytes size);
-
-    /** Deprecated: thin wrapper over submit(); migrate this PR. */
-    void accessRange(unsigned thread, CpuOp op, Addr addr, Bytes size);
-
     /** Fast path: one already line-aligned line. */
     void touchLine(unsigned thread, CpuOp op, Addr line_addr);
 
     /**
-     * Select the engine behind accessRange()/access() at runtime:
-     * batched (default) or the reference per-line loop. Both produce
-     * bit-identical results; the toggle exists for the equivalence
-     * tests and the benches' --per-line flag.
+     * Select the engine behind submit() at runtime: batched (default)
+     * or the reference per-line loop. Both produce bit-identical
+     * results; the toggle exists for the equivalence tests and the
+     * benches' --per-line flag.
      */
     void setBatchedAccess(bool on) { batched_ = on; }
     bool batchedAccess() const { return batched_; }
@@ -148,23 +136,11 @@ class MemorySystem
     static void setBatchedAccessDefault(bool on);
 
     /**
-     * Shard this run's channel work across @p n worker threads
-     * (exec/shard.hh): demand access runs, maintenance, fault
-     * injection and the telemetry latency feed execute per channel in
-     * parallel and join at a deterministic epoch barrier, where
-     * per-channel counter deltas merge in fixed channel order and the
-     * global effects (latency-work accumulation, poison, FaultLog,
-     * telemetry) replay in original arrival order. Counters, CSVs,
-     * telemetry JSON and traces are byte-identical at any n — the
-     * --jobs=N contract, applied inside one run. n <= 1 disables
-     * sharding (the classic immediate engine, zero overhead). An
-     * attached Observer bypasses sharding, as it does batching.
+     * No-op, kept for source compatibility with callers of the removed
+     * intra-run channel sharding: a run executes on its calling
+     * thread, and SweepRunner (--jobs) is the only parallelism.
      */
-    void setShardThreads(unsigned n);
-    unsigned shardThreads() const { return shardThreads_; }
-
-    /** Process-wide default for newly constructed systems. */
-    static void setShardThreadsDefault(unsigned n);
+    void setShardThreads(unsigned) {}
 
     /**
      * Asynchronous bulk copy through the DMA engines (Section VII-B's
@@ -239,31 +215,15 @@ class MemorySystem
      * Not owned; must outlive the system or be detached first.
      */
     void attachTelemetry(obs::TelemetryRun *telemetry);
-    // Pending shard replay still feeds the collector's sketch: land it
-    // before unwiring.
-    void
-    detachTelemetry()
-    {
-        syncShard();
-        tel_ = nullptr;
-    }
+    void detachTelemetry() { tel_ = nullptr; }
     obs::TelemetryRun *telemetry() { return tel_; }
 
     const SystemConfig &config() const { return config_; }
     const Llc &llc() const { return llc_; }
     Llc &llc() { return llc_; }
-    // Channel accessors join the shard barrier first: recorded but
-    // unexecuted work must land before anyone reads channel state.
-    ChannelController &
-    channel(unsigned i)
+    ChannelController &channel(unsigned i) { return channels_[i]; }
+    const ChannelController &channel(unsigned i) const
     {
-        syncShard();
-        return channels_[i];
-    }
-    const ChannelController &
-    channel(unsigned i) const
-    {
-        const_cast<MemorySystem *>(this)->syncShard();
         return channels_[i];
     }
     unsigned numChannels() const
@@ -280,23 +240,13 @@ class MemorySystem
     /** @name Faults and graceful degradation */
     ///@{
     /** Machine-level record of injections, poison flow and throttling. */
-    const FaultLog &
-    faultLog() const
-    {
-        const_cast<MemorySystem *>(this)->syncShard();
-        return faultLog_;
-    }
+    const FaultLog &faultLog() const { return faultLog_; }
 
     /** Is the line at @p addr (virtual) currently poisoned? */
     bool isPoisoned(Addr addr);
 
     /** Number of currently poisoned lines. */
-    std::size_t
-    poisonedLines() const
-    {
-        const_cast<MemorySystem *>(this)->syncShard();
-        return poisoned_.size();
-    }
+    std::size_t poisonedLines() const { return poisoned_.size(); }
 
     /**
      * Take channel @p idx offline (a failed DIMM / disabled channel):
@@ -334,50 +284,16 @@ class MemorySystem
                     bool charge_demand = true);
 
     /**
-     * Batched engine behind accessRange(): @p lines consecutive lines
-     * from @p first, guaranteed not to cross an epoch boundary. Only
-     * called when translate() is the identity, no observer is attached
-     * and faults are disabled. Dispatches fastRangeImpl with either
-     * the immediate emitter (execute each line now) or the shard
-     * emitter (record it for the worker pool).
+     * Batched engine behind submit(): @p lines consecutive lines from
+     * @p first, guaranteed not to cross an epoch boundary. Only called
+     * when translate() is the identity, no observer is attached and
+     * faults are disabled. Segments the run by interleave chunk and
+     * pool, then executes every LLC outcome (device single, coalesced
+     * 1LM device run, dirty-victim writeback, LLC hit) against its
+     * channel in the per-line loop's order.
      */
     void fastRange(unsigned thread, CpuOp op, Addr first,
                    std::uint64_t lines);
-
-    struct ImmediateEmit;
-    struct ShardEmit;
-
-    /**
-     * The batched engine's shared body: segment the line run by
-     * interleave chunk and pool, then hand every LLC outcome (device
-     * single, coalesced 1LM device run, dirty-victim writeback, LLC
-     * hit) to the emitter. Both emitters see the identical event
-     * sequence, which is what keeps sharded output byte-identical.
-     */
-    template <typename Emit>
-    void fastRangeImpl(unsigned thread, CpuOp op, Addr first,
-                       std::uint64_t lines, Emit &emit);
-
-    /**
-     * Is channel work being recorded for the shard pool right now?
-     * An attached observer needs its per-request hooks in program
-     * order on one thread, so it forces the immediate engine — the
-     * same rule that disables batching.
-     */
-    bool
-    shardActive() const
-    {
-        return shard_ != nullptr && obs_ == nullptr;
-    }
-
-    /**
-     * Epoch-barrier join: execute all recorded channel work on the
-     * worker pool, merge the per-channel counter deltas in fixed
-     * channel order, then replay the global effects (latency work,
-     * telemetry, poison, FaultLog, DMA poison propagation) in original
-     * arrival order. No-op when nothing is recorded.
-     */
-    void syncShard();
 
     void finishEpoch();
     void maybeFinishEpoch();
@@ -403,7 +319,7 @@ class MemorySystem
      * bandwidth) and their latency — analytic service plus queue wait
      * plus bank penalty — lands via onTxComplete() when the per-channel
      * queues drain in fixed channel order. One accumulation point, so
-     * output is byte-identical at any --jobs / --shard-threads.
+     * output is byte-identical at any --jobs.
      */
     ///@{
     /** One arrival-ordered demand event awaiting the epoch drain. */
@@ -530,9 +446,7 @@ class MemorySystem
     };
 
     bool recordTrace_ = true;
-    bool batched_;  //!< accessRange engine (see setBatchedAccess)
-    unsigned shardThreads_ = 1;
-    std::unique_ptr<exec::ShardEngine> shard_;  //!< nullptr when off
+    bool batched_;  //!< submit() engine (see setBatchedAccess)
     InterleaveMap imap_;
     TimeSeries trace_;
     obs::Observer *obs_ = nullptr;  //!< optional, not owned

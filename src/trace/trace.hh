@@ -103,12 +103,6 @@ class RecordingSystem
     }
 
     void
-    access(unsigned thread, CpuOp op, Addr addr, Bytes size)
-    {
-        submit({thread, op, addr, size});
-    }
-
-    void
     touchLine(unsigned thread, CpuOp op, Addr line_addr)
     {
         writer_.access(thread, op, line_addr, kLineSize);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Equivalence tests for the batched access engine: for every mode, op,
- * pattern and granularity, MemorySystem::accessRange must leave the
+ * pattern and granularity, MemorySystem::submit() must leave the
  * machine in a state bit-identical to the reference per-line loop —
  * every uncore counter, LLC statistic, device buffer effect (via write
  * amplification) and the accumulated simulated time (an exact
