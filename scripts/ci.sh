@@ -325,11 +325,14 @@ echo "queue-off byte-diff passed: analytic controller equals the seed."
 # Saturated-channel smoke: the queued-controller load sweep must show
 # the tail pulling away from the median as the offered load crosses
 # the channel service knee (the bench's own verdict line), report
-# nonzero queue activity, and stay byte-identical across --jobs — the
-# deferred epoch-end drain is part of the determinism contract.
+# nonzero queue activity, and stay byte-identical across --jobs and
+# across the batched and per-line engines — the deferred epoch-end
+# drain is part of the determinism contract, and both engines log the
+# demand it replays.
 echo "=== queue smoke (bench_queue_load saturation + determinism) ==="
 ql_dir=$(mktemp -d)
-for variant in "jobs1 --jobs=1" "jobs4 --jobs=4"; do
+for variant in "jobs1 --jobs=1" "jobs4 --jobs=4" \
+               "perline --jobs=1 --per-line"; do
     name=${variant%% *}
     flags=${variant#* }
     mkdir -p "$ql_dir/$name"
@@ -338,6 +341,7 @@ for variant in "jobs1 --jobs=1" "jobs4 --jobs=4"; do
         "$root/build/bench/bench_queue_load" $flags > stdout.txt)
 done
 diff -r "$ql_dir/jobs1" "$ql_dir/jobs4"
+diff -r "$ql_dir/jobs1" "$ql_dir/perline"
 grep -q "tail stretches under load (as expected)" \
     "$ql_dir/jobs1/stdout.txt"
 grep -q "^analytic,0,.*,0,0,0,0$" "$ql_dir/jobs1/queue_load.csv"

@@ -38,6 +38,11 @@ ControllerConfig::validate() const
         return;
     if (readQueueEntries == 0 || writeQueueEntries == 0)
         fatal("controller queue entries must be nonzero");
+    if (readQueueEntries > kMaxQueueEntries ||
+        writeQueueEntries > kMaxQueueEntries)
+        fatal("controller queue entries must be at most %u (got read=%u "
+              "write=%u)",
+              kMaxQueueEntries, readQueueEntries, writeQueueEntries);
     if (banks == 0)
         fatal("controller banks must be nonzero");
     if (rowBytes < kLineSize)
@@ -73,15 +78,14 @@ class FcfsScheduler : public ChannelScheduler
     const char *kindName() const override { return "fcfs"; }
 
     SchedulerPick
-    pick(const std::deque<QueuedTx> &reads,
-         const std::deque<QueuedTx> &writes, bool,
+    pick(const TxRing &reads, const TxRing &writes, bool,
          const std::vector<BankState> &, const ControllerConfig &) override
     {
         if (reads.empty())
             return {true, 0};
         if (writes.empty())
             return {false, 0};
-        return reads.front().seq < writes.front().seq
+        return reads[0].seq < writes[0].seq
                    ? SchedulerPick{false, 0}
                    : SchedulerPick{true, 0};
     }
@@ -98,13 +102,11 @@ class ReadPriorityScheduler : public ChannelScheduler
     const char *kindName() const override { return "read_priority"; }
 
     SchedulerPick
-    pick(const std::deque<QueuedTx> &reads,
-         const std::deque<QueuedTx> &writes, bool draining,
+    pick(const TxRing &reads, const TxRing &writes, bool draining,
          const std::vector<BankState> &, const ControllerConfig &) override
     {
         if (!writes.empty() && (draining || reads.empty()))
             return {true, 0};
-        (void)reads;
         return {false, 0};
     }
 };
@@ -121,19 +123,19 @@ class FrfcfsScheduler : public ChannelScheduler
     const char *kindName() const override { return "frfcfs"; }
 
     SchedulerPick
-    pick(const std::deque<QueuedTx> &reads,
-         const std::deque<QueuedTx> &writes, bool draining,
+    pick(const TxRing &reads, const TxRing &writes, bool draining,
          const std::vector<BankState> &banks,
          const ControllerConfig &cfg) override
     {
         const bool from_writes =
             !writes.empty() && (draining || reads.empty());
-        const std::deque<QueuedTx> &q = from_writes ? writes : reads;
-        if (q.front().bypassed >= cfg.starvationCap)
+        const TxRing &q = from_writes ? writes : reads;
+        if (q[0].bypassed >= cfg.starvationCap)
             return {from_writes, 0};
+        // A row key names its bank, so a key equal to the bank's open
+        // key is a hit; a closed bank's kClosed matches no key.
         for (std::size_t i = 0; i < q.size(); ++i) {
-            const BankState &b = banks[q[i].bank];
-            if (b.rowValid && b.openRow == q[i].row)
+            if (banks[q.bank(i)].openKey == q.key(i))
                 return {from_writes, i};
         }
         return {from_writes, 0};
@@ -249,11 +251,57 @@ ChannelSchedulerRegistry::find(const std::string &kind) const
     return nullptr;
 }
 
+namespace
+{
+
+/** Smallest power of two >= @p n (n >= 1). */
+std::size_t
+pow2Ceil(std::size_t n)
+{
+    std::size_t p = 1;
+    while (p < n)
+        p <<= 1;
+    return p;
+}
+
+} // namespace
+
+TxRing::TxRing(unsigned capacity)
+    : entries_(pow2Ceil(capacity)),
+      keys_(entries_.size()), banks_(entries_.size()),
+      mask_(entries_.size() - 1)
+{
+}
+
+TxRing::Entry &
+TxRing::push(std::uint64_t key, std::uint32_t bank)
+{
+    const std::size_t s = slot(size_++);
+    keys_[s] = key;
+    banks_[s] = bank;
+    entries_[s] = Entry{};
+    return entries_[s];
+}
+
+void
+TxRing::erase(std::size_t i)
+{
+    for (std::size_t j = i; j > 0; --j) {
+        const std::size_t to = slot(j), from = slot(j - 1);
+        entries_[to] = entries_[from];
+        keys_[to] = keys_[from];
+        banks_[to] = banks_[from];
+    }
+    head_ = (head_ + 1) & mask_;
+    --size_;
+}
+
 ChannelTxQueue::ChannelTxQueue(const ControllerConfig &config,
                                double busBandwidth,
                                const RefreshConfig &refresh)
     : cfg_(config), busBandwidth_(busBandwidth), refresh_(refresh),
       sched_(ChannelSchedulerRegistry::instance().create(config)),
+      reads_(config.readQueueEntries), writes_(config.writeQueueEntries),
       banks_(config.banks)
 {
     if (!sched_)
@@ -276,19 +324,6 @@ ChannelTxQueue::setCompletionHandler(CompletionHandler handler)
     onComplete_ = std::move(handler);
 }
 
-std::uint32_t
-ChannelTxQueue::bankOf(Addr addr) const
-{
-    return static_cast<std::uint32_t>((addr / cfg_.rowBytes) %
-                                      cfg_.banks);
-}
-
-std::uint64_t
-ChannelTxQueue::rowOf(Addr addr) const
-{
-    return addr / (cfg_.rowBytes * cfg_.banks);
-}
-
 void
 ChannelTxQueue::applyRefresh(double t)
 {
@@ -301,7 +336,7 @@ ChannelTxQueue::applyRefresh(double t)
     while (refreshAt_ <= t) {
         BankState &b = banks_[refreshBank_];
         b.freeAt = std::max(b.freeAt, refreshAt_) + refresh_.trfc;
-        b.rowValid = false;  // refresh closes the row
+        b.openKey = BankState::kClosed;  // refresh closes the row
         refreshBank_ = (refreshBank_ + 1) % cfg_.banks;
         refreshAt_ += step;
     }
@@ -313,16 +348,15 @@ ChannelTxQueue::enqueue(const Transaction &tx)
     while (!willAccept(tx.kind))
         serviceOne();  // backpressure: arrival waits as queue latency
 
-    QueuedTx q;
+    TxRing &dest = tx.kind == TransactionKind::Read ? reads_ : writes_;
+    const std::uint64_t key = tx.addr / cfg_.rowBytes;
+    const auto depth = static_cast<std::uint32_t>(dest.size());
+    TxRing::Entry &q =
+        dest.push(key, static_cast<std::uint32_t>(key % cfg_.banks));
     q.tx = tx;
     q.seq = seq_++;
-    q.bank = bankOf(tx.addr);
-    q.row = rowOf(tx.addr);
+    q.depthAtEnqueue = depth;
     q.drainStalled = draining_;
-    std::deque<QueuedTx> &dest =
-        tx.kind == TransactionKind::Read ? reads_ : writes_;
-    q.depthAtEnqueue = static_cast<std::uint32_t>(dest.size());
-    dest.push_back(q);
 
     stats_.maxReadDepth = std::max(
         stats_.maxReadDepth, static_cast<std::uint32_t>(reads_.size()));
@@ -336,8 +370,8 @@ ChannelTxQueue::enqueue(const Transaction &tx)
     if (!draining_ && writes_.size() >= cfg_.drainHighWatermark) {
         draining_ = true;
         ++stats_.writeDrains;
-        for (QueuedTx &r : reads_)
-            r.drainStalled = true;
+        for (std::size_t i = 0; i < reads_.size(); ++i)
+            reads_[i].drainStalled = true;
     }
 }
 
@@ -349,37 +383,37 @@ ChannelTxQueue::serviceOne()
 
     SchedulerPick p =
         sched_->pick(reads_, writes_, draining_, banks_, cfg_);
-    std::deque<QueuedTx> &q = p.fromWrites ? writes_ : reads_;
-    QueuedTx chosen = q[p.index];
-    if (p.index != 0) {
-        // A younger (or same-age, different-bank) request bypassed
-        // everything ahead of it: count that against the starvation
-        // cap of each passed-over transaction.
-        for (std::size_t i = 0; i < p.index; ++i)
-            ++q[i].bypassed;
-    }
-    q.erase(q.begin() + static_cast<std::ptrdiff_t>(p.index));
+    TxRing &q = p.fromWrites ? writes_ : reads_;
+    // A younger (or same-age, different-bank) request bypassed
+    // everything ahead of it: count that against the starvation cap
+    // of each passed-over transaction.
+    for (std::size_t i = 0; i < p.index; ++i)
+        ++q[i].bypassed;
+    const TxRing::Entry &e = q[p.index];
+    const Transaction tx = e.tx;
+    const bool drain_stalled = e.drainStalled;
+    const std::uint32_t depth = e.depthAtEnqueue;
+    const std::uint64_t key = q.key(p.index);
+    BankState &bank = banks_[q.bank(p.index)];
+    q.erase(p.index);
 
-    applyRefresh(std::max(clock_, chosen.tx.arrival));
-    BankState &bank = banks_[chosen.bank];
-    double start = std::max(
-        std::max(clock_, chosen.tx.arrival),
-        std::max(busFreeAt_, bank.freeAt));
+    applyRefresh(std::max(clock_, tx.arrival));
+    double start = std::max(std::max(clock_, tx.arrival),
+                            std::max(busFreeAt_, bank.freeAt));
 
-    const bool row_hit = bank.rowValid && bank.openRow == chosen.row;
+    const bool row_hit = bank.openKey == key;
     const double penalty = row_hit ? 0.0 : cfg_.bankConflictPenalty;
-    const bool conflict = bank.rowValid && !row_hit;
-    const double complete = start + penalty + chosen.tx.service;
+    const bool conflict = bank.openKey != BankState::kClosed && !row_hit;
+    const double complete = start + penalty + tx.service;
 
     bank.freeAt = complete;
-    bank.openRow = chosen.row;
-    bank.rowValid = true;
+    bank.openKey = key;
     busFreeAt_ = start + static_cast<double>(kLineSize) / busBandwidth_;
     clock_ = start;
 
-    if (chosen.tx.kind == TransactionKind::Read) {
+    if (tx.kind == TransactionKind::Read) {
         ++stats_.completedReads;
-        stats_.readQueueWait += start - chosen.tx.arrival;
+        stats_.readQueueWait += start - tx.arrival;
     } else {
         ++stats_.completedWrites;
         if (draining_ && writes_.size() <= cfg_.drainLowWatermark)
@@ -392,17 +426,17 @@ ChannelTxQueue::serviceOne()
 
     if (onComplete_) {
         CompletionInfo info;
-        info.enqueueTime = chosen.tx.arrival;
+        info.enqueueTime = tx.arrival;
         info.issueTime = start;
         info.completeTime = complete;
-        info.latency.service = chosen.tx.service;
-        info.latency.queueWait = start - chosen.tx.arrival;
+        info.latency.service = tx.service;
+        info.latency.queueWait = start - tx.arrival;
         info.latency.bankPenalty = penalty;
         info.rowBufferHit = row_hit;
         info.bankConflict = conflict;
-        info.drainStalled = chosen.drainStalled;
-        info.queueDepth = chosen.depthAtEnqueue;
-        onComplete_(chosen.tx, info);
+        info.drainStalled = drain_stalled;
+        info.queueDepth = depth;
+        onComplete_(tx, info);
     }
 }
 

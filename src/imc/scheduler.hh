@@ -28,7 +28,6 @@
 #define NVSIM_IMC_SCHEDULER_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -50,6 +49,10 @@ struct ControllerConfig
 {
     /** Registry key; see ChannelSchedulerRegistry::names(). */
     std::string scheduler = "analytic";
+    /** Largest read or write queue depth validate() accepts; each
+     *  queue's storage is allocated up front at its configured depth. */
+    static constexpr unsigned kMaxQueueEntries = 4096;
+
     /** Read-queue entries per channel. */
     unsigned readQueueEntries = 32;
     /** Write-pending-queue entries per channel. */
@@ -85,24 +88,73 @@ struct ControllerConfig
 /** Open-row state of one bank, visible to schedulers. */
 struct BankState
 {
-    double freeAt = 0;            //!< busy until (epoch seconds)
-    std::uint64_t openRow = 0;
-    bool rowValid = false;        //!< any row open since last refresh
+    /** openKey of a bank with no open row (reset, or refreshed). */
+    static constexpr std::uint64_t kClosed = ~std::uint64_t{0};
+
+    double freeAt = 0;  //!< busy until (epoch seconds)
+    /** Row key (addr / rowBytes) of the open row, or kClosed. */
+    std::uint64_t openKey = kClosed;
 };
 
-/** A transaction staged in a controller queue. */
-struct QueuedTx
+/**
+ * One controller queue: a ring of staged transactions in arrival
+ * order (index 0 is the oldest), sized once from the configured queue
+ * depth and never resized. Each entry's row key -- addr / rowBytes,
+ * which names bank and row at once -- and its bank sit in arrays
+ * parallel to the payloads, so a scheduler's open-row scan reads two
+ * flat arrays and never touches a payload. Erasing entry i shifts only
+ * the i entries ahead of it; erasing the oldest is a head bump.
+ */
+class TxRing
 {
-    Transaction tx;
-    std::uint64_t seq = 0;        //!< global arrival sequence number
-    std::uint32_t bank = 0;
-    std::uint64_t row = 0;
-    /** Times a younger request issued ahead of this one (frfcfs). */
-    std::uint32_t bypassed = 0;
-    /** Same-queue occupancy when this transaction arrived. */
-    std::uint32_t depthAtEnqueue = 0;
-    /** Spent time queued behind an active WPQ drain burst. */
-    bool drainStalled = false;
+  public:
+    /** A staged transaction's payload. */
+    struct Entry
+    {
+        Transaction tx;
+        std::uint64_t seq = 0;  //!< arrival sequence, across both queues
+        /** Times a younger request issued ahead of this one (frfcfs). */
+        std::uint32_t bypassed = 0;
+        /** Same-queue occupancy when this transaction arrived. */
+        std::uint32_t depthAtEnqueue = 0;
+        /** Spent time queued behind an active WPQ drain burst. */
+        bool drainStalled = false;
+    };
+
+    /** A queue of @p capacity entries (at most kMaxQueueEntries, per
+     *  ControllerConfig::validate()); the caller never pushes more. */
+    explicit TxRing(unsigned capacity);
+
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+
+    const Entry &operator[](std::size_t i) const
+    {
+        return entries_[slot(i)];
+    }
+    Entry &operator[](std::size_t i) { return entries_[slot(i)]; }
+
+    /** Row key of entry @p i. */
+    std::uint64_t key(std::size_t i) const { return keys_[slot(i)]; }
+    /** Bank of entry @p i. */
+    std::uint32_t bank(std::size_t i) const { return banks_[slot(i)]; }
+
+    /** Append a new youngest entry with @p key / @p bank; the ring
+     *  must not be full. */
+    Entry &push(std::uint64_t key, std::uint32_t bank);
+
+    /** Remove entry @p i; the entries ahead of it move up one slot. */
+    void erase(std::size_t i);
+
+  private:
+    std::size_t slot(std::size_t i) const { return (head_ + i) & mask_; }
+
+    std::vector<Entry> entries_;
+    std::vector<std::uint64_t> keys_;
+    std::vector<std::uint32_t> banks_;
+    std::size_t mask_ = 0;  //!< slot count - 1 (a power of two)
+    std::size_t head_ = 0;  //!< slot of entry 0
+    std::size_t size_ = 0;
 };
 
 /** A scheduler's decision: which queue, which position. */
@@ -126,8 +178,7 @@ class ChannelScheduler
     /** Registry key this scheduler was constructed under. */
     virtual const char *kindName() const = 0;
 
-    virtual SchedulerPick pick(const std::deque<QueuedTx> &reads,
-                               const std::deque<QueuedTx> &writes,
+    virtual SchedulerPick pick(const TxRing &reads, const TxRing &writes,
                                bool draining,
                                const std::vector<BankState> &banks,
                                const ControllerConfig &cfg) = 0;
@@ -256,17 +307,14 @@ class ChannelTxQueue
     /** Apply staggered per-bank refresh events up to time @p t. */
     void applyRefresh(double t);
 
-    std::uint32_t bankOf(Addr addr) const;
-    std::uint64_t rowOf(Addr addr) const;
-
     ControllerConfig cfg_;
     double busBandwidth_;
     RefreshConfig refresh_;
     std::unique_ptr<ChannelScheduler> sched_;
     CompletionHandler onComplete_;
 
-    std::deque<QueuedTx> reads_;
-    std::deque<QueuedTx> writes_;
+    TxRing reads_;
+    TxRing writes_;
     std::vector<BankState> banks_;
     double clock_ = 0;        //!< last issue start (epoch seconds)
     double busFreeAt_ = 0;

@@ -452,6 +452,19 @@ MemorySystem::noteRequestFaults(const RequestFaults &f,
     }
 }
 
+MemorySystem::QueuedDemandRec &
+MemorySystem::logQueued(unsigned ch, Addr local, unsigned thread,
+                        MemRequestKind kind, double service)
+{
+    QueuedDemandRec &rec = txLog_.emplace_back();
+    rec.service = service;
+    rec.local = local;
+    rec.ch = ch;
+    rec.thread = static_cast<std::uint16_t>(thread);
+    rec.kind = kind == MemRequestKind::LlcRead ? 1 : 2;
+    return rec;
+}
+
 void
 MemorySystem::issueToImc(MemRequestKind kind, Addr line_addr,
                          unsigned thread, bool charge_demand)
@@ -494,18 +507,13 @@ MemorySystem::issueToImc(MemRequestKind kind, Addr line_addr,
         // counters, cache state and fault draws are the analytic
         // model's), but the request's latency is decided by queue
         // occupancy at the epoch drain. Log it in arrival order.
-        QueuedDemandRec rec;
-        rec.service = res.latency;
-        rec.local = local;
-        rec.ch = ch_idx;
-        rec.thread = static_cast<std::uint16_t>(thread);
-        rec.kind = kind == MemRequestKind::LlcRead ? 1 : 2;
+        QueuedDemandRec &rec =
+            logQueued(ch_idx, local, thread, kind, res.latency);
         rec.chargeDemand = charge_demand;
         if (req.traced) {
             rec.causal = static_cast<std::int32_t>(txCausal_.size());
             txCausal_.push_back({kind, res.outcome, res.breakdown});
         }
-        txLog_.push_back(rec);
     } else if (charge_demand) {
         epochLatencyWork_ += res.latency;
         if (tel_)
@@ -540,9 +548,7 @@ MemorySystem::touchLine(unsigned thread, CpuOp op, Addr line_addr)
                 // the queued misses' in program order (floating-point
                 // accumulation), so it accumulates at its txLog_
                 // position at the drain.
-                QueuedDemandRec rec;
-                rec.kind = 0;
-                txLog_.push_back(rec);
+                txLog_.emplace_back();  // kind 0: LLC hit
                 if (obs_)
                     obs_->noteLlcHit();
             } else {
@@ -581,10 +587,9 @@ MemorySystem::submit(const AccessBatch &batch)
         lineBase(batch.addr + (batch.size ? batch.size - 1 : 0));
 
     // The reference per-line engine: required whenever per-request
-    // hooks may fire (observer, faults), addresses are remapped
-    // (scattered pages), requests must be logged for the queued
-    // controller, or batching is disabled.
-    if (!batched_ || obs_ || faultEnabled_ || maintEnabled_ || queued_ ||
+    // hooks may fire (observer, faults, maintenance), addresses are
+    // remapped (scattered pages), or batching is disabled.
+    if (!batched_ || obs_ || faultEnabled_ || maintEnabled_ ||
         config_.scatterPages) {
         for (Addr line = first; line <= last; line += kLineSize)
             touchLine(thread, op, line);
@@ -618,10 +623,15 @@ MemorySystem::fastRange(unsigned thread, CpuOp op, Addr first,
 
     // The three latency contributions, accumulated into
     // epochLatencyWork_ (and the telemetry sketch) in exactly the
-    // per-line loop's order.
+    // per-line loop's order -- or, under the queued controller, logged
+    // to txLog_ exactly as issueToImc()/touchLine() log them.
     auto single = [&](unsigned ch_idx, Addr local, MemRequestKind kind,
                       MemPool pool) {
         double lat = channels_[ch_idx].handleFast(kind, local, tid, pool);
+        if (queued_) {
+            logQueued(ch_idx, local, thread, kind, lat);
+            return;
+        }
         epochLatencyWork_ += lat;
         if (tel_)
             tel_->noteLatency(lat);
@@ -630,6 +640,12 @@ MemorySystem::fastRange(unsigned thread, CpuOp op, Addr first,
                    MemRequestKind kind, MemPool pool) {
         double lat =
             channels_[ch_idx].handleFastRun1lm(kind, local, n, tid, pool);
+        if (queued_) {
+            // One record per line, as the per-line loop logs them.
+            for (std::uint64_t i = 0; i < n; ++i)
+                logQueued(ch_idx, local + i * kLineSize, thread, kind, lat);
+            return;
+        }
         // Line-by-line accumulation, in the per-line loop's order.
         for (std::uint64_t i = 0; i < n; ++i)
             epochLatencyWork_ += lat;
@@ -637,6 +653,10 @@ MemorySystem::fastRange(unsigned thread, CpuOp op, Addr first,
             tel_->noteLatency(lat, n);
     };
     auto hit = [&]() {
+        if (queued_) {
+            txLog_.emplace_back();  // kind 0: LLC hit
+            return;
+        }
         epochLatencyWork_ += config_.llcHitLatency;
         if (tel_)
             tel_->noteLatency(config_.llcHitLatency);

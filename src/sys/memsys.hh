@@ -65,8 +65,9 @@ struct Region
 /**
  * One demand access, as submit() consumes it: a thread's operation
  * over a byte range, split into 64 B lines by the engine. The single
- * unit of work for every access engine — per-line reference, batched,
- * queued — so callers never choose an engine by method name.
+ * unit of work for both access engines — per-line reference and
+ * batched, analytic or queued controller — so callers never choose an
+ * engine by method name.
  */
 struct AccessBatch
 {
@@ -112,11 +113,11 @@ class MemorySystem
      * here, not by the caller: the batched fast path when nothing
      * needs per-request hooks, the per-line reference loop whenever an
      * observer is attached, faults/maintenance are enabled, pages are
-     * scattered, the queued controller is configured, or batching is
-     * disabled via setBatchedAccess() — all bit-identical where they
-     * overlap. With the queued controller the request's analytic
-     * service cost becomes a Transaction enqueued at the channel and
-     * its latency emerges from queue occupancy at the epoch drain.
+     * scattered, or batching is disabled via setBatchedAccess() — all
+     * bit-identical where they overlap. With the queued controller
+     * either engine logs each request's analytic service cost; at the
+     * epoch drain it becomes a Transaction enqueued at the channel and
+     * its latency emerges from queue occupancy.
      */
     void submit(const AccessBatch &batch);
 
@@ -290,7 +291,8 @@ class MemorySystem
      * faults are disabled. Segments the run by interleave chunk and
      * pool, then executes every LLC outcome (device single, coalesced
      * 1LM device run, dirty-victim writeback, LLC hit) against its
-     * channel in the per-line loop's order.
+     * channel in the per-line loop's order; in queued mode each
+     * outcome is logged to txLog_ line by line instead of accumulated.
      */
     void fastRange(unsigned thread, CpuOp op, Addr first,
                    std::uint64_t lines);
@@ -341,6 +343,13 @@ class MemorySystem
         CacheOutcome outcome = CacheOutcome::Hit;
         CausalBreakdown breakdown;
     };
+
+    /**
+     * Append a demand request for channel @p ch to txLog_, charged to
+     * the CPU and untraced (callers change those fields as needed).
+     */
+    QueuedDemandRec &logQueued(unsigned ch, Addr local, unsigned thread,
+                               MemRequestKind kind, double service);
 
     /** Replay txLog_ through the channel queues; epoch boundary only. */
     void runQueuedDrain();
@@ -461,8 +470,8 @@ class MemorySystem
     // so it forces the same reference paths fault injection does.
     bool maintEnabled_ = false;
     FaultLog faultLog_;
-    // Cached config_.controller.queued(): forces the reference engine
-    // and redirects latency accumulation through txLog_.
+    // Cached config_.controller.queued(): both engines redirect
+    // latency accumulation through txLog_.
     bool queued_ = false;
     std::vector<QueuedDemandRec> txLog_;   //!< arrival-ordered events
     std::vector<PendingCausal> txCausal_;  //!< deferred causal spans

@@ -6,7 +6,10 @@
  * every uncore counter, LLC statistic, device buffer effect (via write
  * amplification) and the accumulated simulated time (an exact
  * floating-point comparison, since the batched path is required to add
- * per-line latencies in the reference order).
+ * per-line latencies in the reference order). Under the queued
+ * controller both engines must log the same arrival-ordered demand, so
+ * the epoch drain — queue counters, clock and latency percentiles —
+ * comes out identical too.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +17,9 @@
 #include <string>
 #include <vector>
 
+#include "core/rng.hh"
 #include "kernels/kernels.hh"
+#include "obs/telemetry/telemetry.hh"
 
 using namespace nvsim;
 
@@ -80,8 +85,31 @@ const KernelCase kKernelCases[] = {
     {KernelOp::ReadModifyWrite, true, "rmw_nt"},
 };
 
+/** @p mode under a queued @p scheduler, offered past the knee. */
+SystemConfig
+queuedConfig(MemoryMode mode, const std::string &scheduler)
+{
+    SystemConfig cfg = config(mode);
+    cfg.controller.scheduler = scheduler;
+    cfg.controller.offeredGBs = 40;
+    // Rows smaller than the 4 KiB interleave chunk, so a coalesced 1LM
+    // device run spans several rows and each line's address matters.
+    cfg.controller.rowBytes = kKiB;
+    if (scheduler == "read_priority") {
+        // Non-power-of-two geometry: the division path of the row key.
+        cfg.controller.banks = 6;
+        cfg.controller.rowBytes = 768;
+        // Small watermarks: write-drain bursts start and stop often.
+        cfg.controller.readQueueEntries = 6;
+        cfg.controller.writeQueueEntries = 8;
+        cfg.controller.drainHighWatermark = 4;
+        cfg.controller.drainLowWatermark = 1;
+    }
+    return cfg;
+}
+
 void
-runGrid(MemoryMode mode)
+runGrid(const SystemConfig &cfg)
 {
     for (const KernelCase &kc : kKernelCases) {
         for (AccessPattern pattern :
@@ -98,8 +126,8 @@ runGrid(MemoryMode mode)
                              accessPatternName(pattern) + " gran " +
                              std::to_string(gran));
 
-                MemorySystem batched(config(mode));
-                MemorySystem per_line(config(mode));
+                MemorySystem batched(cfg);
+                MemorySystem per_line(cfg);
                 ASSERT_TRUE(batched.batchedAccess());
                 per_line.setBatchedAccess(false);
                 for (MemorySystem *sys : {&batched, &per_line}) {
@@ -113,16 +141,77 @@ runGrid(MemoryMode mode)
     }
 }
 
+/**
+ * Load, Store and NtStore spans over @p r: long ones crossing epoch
+ * boundaries and interleave chunks, then many short, unaligned ones
+ * from interleaved threads, then a full store pass (dirty LLC victims).
+ */
+void
+queuedSpans(MemorySystem &sys, const Region &r)
+{
+    sys.setActiveThreads(4);
+    sys.submit({0, CpuOp::Load, r.base + 3, 300 * kKiB});
+    sys.submit({1, CpuOp::Store, r.base + 64 * kKiB + 100, 200 * kKiB});
+    sys.submit({2, CpuOp::NtStore, r.base + 512 * kKiB + 7, 150 * kKiB});
+    Rng rng(11);
+    const CpuOp ops[] = {CpuOp::Load, CpuOp::Store, CpuOp::NtStore};
+    for (unsigned i = 0; i < 3000; ++i) {
+        sys.submit({i % 4, ops[rng.below(3)],
+                    r.base + rng.below(r.size - 8 * kKiB),
+                    1 + rng.below(6 * kKiB)});
+    }
+    sys.submit({3, CpuOp::Store, r.base, r.size});
+    sys.submit({0, CpuOp::Load, r.base + 17, r.size - 17});
+    sys.quiesce();
+}
+
+/**
+ * Run queuedSpans() on both engines over a region of @p pool, with
+ * telemetry attached, and assert every observable matches.
+ */
+void
+expectQueuedEnginesAgree(const SystemConfig &cfg, MemPool pool)
+{
+    MemorySystem batched(cfg);
+    MemorySystem per_line(cfg);
+    per_line.setBatchedAccess(false);
+    obs::TelemetryRun tel_b("batched", obs::TelemetryOptions{});
+    obs::TelemetryRun tel_p("per_line", obs::TelemetryOptions{});
+    batched.attachTelemetry(&tel_b);
+    per_line.attachTelemetry(&tel_p);
+    for (MemorySystem *sys : {&batched, &per_line})
+        queuedSpans(*sys, sys->allocateIn(pool, 4 * kMiB, "arr"));
+    batched.detachTelemetry();
+    per_line.detachTelemetry();
+    tel_b.finish();
+    tel_p.finish();
+
+    expectIdentical(batched, per_line);
+    for (double q : {0.5, 0.99})
+        EXPECT_EQ(tel_b.quantileNs(q), tel_p.quantileNs(q)) << "q " << q;
+    EXPECT_EQ(tel_b.totals(), tel_p.totals());
+
+    // The queues did work: the comparison is not between idle drains.
+    PerfCounters c = batched.counters();
+    EXPECT_GT(c.queueWaitNs, 0u);
+    EXPECT_GT(c.rowBufferHits, 0u);
+    EXPECT_GT(c.bankConflicts, 0u);
+    if (cfg.controller.scheduler == "read_priority") {
+        EXPECT_GT(c.writeDrains, 0u);
+    }
+    EXPECT_GT(batched.llc().dirtyEvictionCount(), 0u);
+}
+
 } // namespace
 
 TEST(AccessRangeEquivalence, OneLmKernelGrid)
 {
-    runGrid(MemoryMode::OneLm);
+    runGrid(config(MemoryMode::OneLm));
 }
 
 TEST(AccessRangeEquivalence, TwoLmKernelGrid)
 {
-    runGrid(MemoryMode::TwoLm);
+    runGrid(config(MemoryMode::TwoLm));
 }
 
 TEST(AccessRangeEquivalence, OneLmDramPool)
@@ -234,5 +323,39 @@ TEST(AccessRangeEquivalence, NonPowerOfTwoChannelGrid)
             sys->quiesce();
         }
         expectIdentical(batched, per_line);
+    }
+}
+
+TEST(AccessRangeEquivalence, QueuedFrfcfsOneLm)
+{
+    // Coalesced 1LM device runs on NVRAM and the DRAM pool: one logged
+    // transaction per line, exactly as the per-line loop logs them.
+    for (MemPool pool : {MemPool::Nvram, MemPool::Dram}) {
+        SCOPED_TRACE(pool == MemPool::Dram ? "dram pool" : "nvram pool");
+        expectQueuedEnginesAgree(
+            queuedConfig(MemoryMode::OneLm, "frfcfs"), pool);
+    }
+}
+
+TEST(AccessRangeEquivalence, QueuedFrfcfsTwoLm)
+{
+    expectQueuedEnginesAgree(queuedConfig(MemoryMode::TwoLm, "frfcfs"),
+                             MemPool::Nvram);
+}
+
+TEST(AccessRangeEquivalence, QueuedReadPriorityDrains)
+{
+    for (MemoryMode mode : {MemoryMode::OneLm, MemoryMode::TwoLm}) {
+        SCOPED_TRACE(memoryModeName(mode));
+        expectQueuedEnginesAgree(queuedConfig(mode, "read_priority"),
+                                 MemPool::Nvram);
+    }
+}
+
+TEST(AccessRangeEquivalence, QueuedKernelGrid)
+{
+    for (MemoryMode mode : {MemoryMode::OneLm, MemoryMode::TwoLm}) {
+        SCOPED_TRACE(memoryModeName(mode));
+        runGrid(queuedConfig(mode, "frfcfs"));
     }
 }

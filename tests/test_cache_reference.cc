@@ -154,7 +154,8 @@ TEST(CacheVsReference, DdoPreservesStateAgreement)
         (void)r;
         ASSERT_EQ(cache.resident(addr), ref.resident(addr))
             << "step " << i;
-        if (is_write)
+        if (is_write) {
             ASSERT_TRUE(cache.residentDirty(addr)) << "step " << i;
+        }
     }
 }
