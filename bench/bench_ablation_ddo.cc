@@ -30,7 +30,7 @@ runScenario(obs::Session &session, const char *scenario, DdoMode ddo,
     SystemConfig cfg;
     cfg.mode = MemoryMode::TwoLm;
     cfg.scale = kScale;
-    cfg.ddo.mode = ddo;
+    cfg.ddoMode = ddo;
     auto sys_sys = makeSystem(cfg);
     MemorySystem &sys = *sys_sys;
     Bytes size = oversized ? cfg.dramTotal() * 22 / 10

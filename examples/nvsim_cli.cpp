@@ -99,9 +99,9 @@ cmdKernel(const Args &args)
     bool two_lm = args.get("mode", "2lm") == "2lm";
     cfg.mode = two_lm ? MemoryMode::TwoLm : MemoryMode::OneLm;
     std::string ddo = args.get("ddo", "tracker");
-    cfg.ddo.mode = ddo == "none" ? DdoMode::None
-                   : ddo == "oracle" ? DdoMode::Oracle
-                                     : DdoMode::RecentTracker;
+    cfg.ddoMode = ddo == "none" ? DdoMode::None
+                  : ddo == "oracle" ? DdoMode::Oracle
+                                    : DdoMode::RecentTracker;
     cfg.cacheWays = static_cast<unsigned>(args.getInt("ways", 1));
 
     MemorySystem sys(cfg);

@@ -7,7 +7,8 @@ scratch directory, extracts the headline metrics from their CSVs and
 console tables, exercises the causal tracer at two seeds, times the
 sweep/access engines against each other, runs the maintenance
 interference sweep and the queued-controller load sweep, and writes
-everything to one JSON file (default BENCH_PR10.json):
+everything to one JSON file (default <build>/bench_report.json, so a
+run never overwrites a checked-in BENCH_PRn.json):
 
   - fig2: peak bandwidth per figure/variant (GB/s);
   - fig4: per-scenario effective bandwidth and device-traffic split;
@@ -465,7 +466,8 @@ def main():
     parser = argparse.ArgumentParser(
         description="bench report + optional perf-regression gate")
     parser.add_argument("build", nargs="?", default="build")
-    parser.add_argument("out", nargs="?", default="BENCH_PR10.json")
+    parser.add_argument("out", nargs="?", help="report path "
+                        "(default: <build>/bench_report.json)")
     parser.add_argument("--against", metavar="PREV.json",
                         help="previous report to gate against")
     parser.add_argument("--threshold", type=float, default=0.10,
@@ -475,7 +477,7 @@ def main():
                         "diffs (default: <build>/tools/nvsim_inspect)")
     args = parser.parse_args()
     build = Path(args.build).resolve()
-    out = Path(args.out)
+    out = Path(args.out) if args.out else build / "bench_report.json"
     inspect = args.inspect or str(build / "tools" / "nvsim_inspect")
     if not (build / "bench" / "bench_fig2_nvram_bw").exists():
         print(f"no benches under {build}/bench — build first", file=sys.stderr)

@@ -383,23 +383,24 @@ python3 "$root/scripts/prom_lint.py" "$prom_dir/stats.prom"
 rm -rf "$prom_dir"
 echo "prometheus lint passed: exposition is strictly valid."
 
-# Machine-readable bench report for this PR, then the perf gate: the
-# fresh report must not regress >10% against the previous PR's
-# checked-in report. NVSIM_PERF_GATE=off skips the comparison (for
-# hosts whose wall-clock is incomparable to the recorded baseline);
-# the report itself is always written.
-echo "=== bench report + perf gate (BENCH_PR10.json) ==="
-python3 "$root/scripts/bench_report.py" "$root/build" \
-    "$root/BENCH_PR10.json"
+# Machine-readable bench report of this tree, then the perf gate: the
+# fresh report must not regress >10% against the checked-in
+# BENCH_PR9.json. The report goes under build/, so CI never rewrites a
+# tracked file. NVSIM_PERF_GATE=off skips the comparison (for hosts
+# whose wall-clock is incomparable to the recorded baseline); the
+# report itself is always written.
+report="$root/build/bench_report.json"
+echo "=== bench report + perf gate ($report) ==="
+python3 "$root/scripts/bench_report.py" "$root/build" "$report"
 if [ "${NVSIM_PERF_GATE:-on}" = "off" ]; then
     echo "perf gate skipped (NVSIM_PERF_GATE=off)."
 elif [ ! -f "$root/BENCH_PR9.json" ]; then
     echo "perf gate skipped (no BENCH_PR9.json baseline)."
 else
-    python3 - "$root/BENCH_PR10.json" "$root/BENCH_PR9.json" \
-        "$root/build/tools/nvsim_inspect" <<'EOF'
-import json, os, sys
-sys.path.insert(0, os.path.join(os.path.dirname(sys.argv[1]), "scripts"))
+    python3 - "$report" "$root/BENCH_PR9.json" \
+        "$root/build/tools/nvsim_inspect" "$root/scripts" <<'EOF'
+import json, sys
+sys.path.insert(0, sys.argv[4])
 from bench_report import perf_gate
 report = json.loads(open(sys.argv[1]).read())
 if perf_gate(report, sys.argv[2], 0.10, inspect=sys.argv[3]):
@@ -409,10 +410,10 @@ EOF
     # faster than reality must trip the gate — proving it can fail.
     # The inspect hook runs on the tampered baseline too, exercising
     # the named-windows diff path end to end.
-    python3 - "$root/BENCH_PR10.json" \
-        "$root/build/tools/nvsim_inspect" <<'EOF'
-import copy, json, os, sys, tempfile
-sys.path.insert(0, os.path.join(os.path.dirname(sys.argv[1]), "scripts"))
+    python3 - "$report" "$root/build/tools/nvsim_inspect" \
+        "$root/scripts" <<'EOF'
+import copy, json, sys, tempfile
+sys.path.insert(0, sys.argv[3])
 from bench_report import perf_gate
 report = json.loads(open(sys.argv[1]).read())
 fast = copy.deepcopy(report)

@@ -45,8 +45,6 @@ class Lfsr
     /** Period of the sequence: 2^width - 1. */
     std::uint64_t period() const { return (1ull << width_) - 1; }
 
-    unsigned width() const { return width_; }
-
     /** Maximum-length tap mask for a given width (2..48). */
     static std::uint64_t tapMask(unsigned width);
 

@@ -66,7 +66,6 @@ struct EmbeddingConfig
     {
         return static_cast<Bytes>(rowsPerTable) * rowBytes;
     }
-    Bytes totalBytes() const { return tableBytes() * numTables; }
 };
 
 /** Result of one batch run. */
@@ -100,9 +99,6 @@ class EmbeddingWorkload
 
     EmbeddingPlacement placement() const { return placement_; }
     const EmbeddingConfig &config() const { return config_; }
-
-    /** Rows pinned hot per table (SoftwareCached only). */
-    std::uint64_t hotRows() const { return hotRows_; }
 
   private:
     /** Base address of @p row in @p table, honoring the placement. */

@@ -81,17 +81,7 @@ tagEccBreakdown(MemRequestKind kind, const CacheResult &cr,
 void
 CachePolicyConfig::validate() const
 {
-    if (!CachePolicyRegistry::instance().known(kind)) {
-        std::string known;
-        for (const std::string &n :
-             CachePolicyRegistry::instance().names()) {
-            if (!known.empty())
-                known += ", ";
-            known += n;
-        }
-        fatal("unknown cache policy '%s' (registered: %s)", kind.c_str(),
-              known.c_str());
-    }
+    CachePolicyRegistry::instance().at(kind);  // fatal when unknown
     if (replacement != "lru" && replacement != "fifo")
         fatal("cache policy replacement must be 'lru' or 'fifo', got '%s'",
               replacement.c_str());
@@ -101,80 +91,36 @@ CachePolicyConfig::validate() const
         fatal("cache policy counterEntries must be nonzero");
 }
 
-CachePolicyRegistry &
+const CachePolicyRegistry &
 CachePolicyRegistry::instance()
 {
-    static CachePolicyRegistry reg = [] {
-        CachePolicyRegistry r;
-        r.add("direct_mapped_tag_ecc",
-              "the reverse-engineered 2LM controller: direct mapped "
-              "(ways knob for ablation), tags in DRAM ECC bits, insert "
-              "on every miss, DDO",
-              [](const DramCacheParams &p, const CachePolicyConfig &) {
-                  return std::unique_ptr<CachePolicy>(
-                      new DirectMappedTagEccPolicy(p));
-              });
-        r.add("sram_tag_set_assoc",
-              "set-associative cache with tags held in controller SRAM: "
-              "no tag-check device reads, configurable ways and "
-              "lru/fifo replacement",
-              [](const DramCacheParams &p, const CachePolicyConfig &c) {
-                  return std::unique_ptr<CachePolicy>(
-                      new SramTagSetAssocPolicy(p, c));
-              });
-        r.add("bypass_selective_insert",
-              "Banshee/TicToc-style frequency-gated insertion: misses "
-              "bypass to NVRAM until a line earns insertThreshold "
-              "misses; DDO interaction preserved",
-              [](const DramCacheParams &p, const CachePolicyConfig &c) {
-                  return std::unique_ptr<CachePolicy>(
-                      new BypassSelectiveInsertPolicy(p, c));
-              });
-        return r;
-    }();
+    static const CachePolicyRegistry reg(
+        "cache policy",
+        {{"direct_mapped_tag_ecc",
+          "the reverse-engineered 2LM controller: direct mapped "
+          "(ways knob for ablation), tags in DRAM ECC bits, insert "
+          "on every miss, DDO",
+          [](const DramCacheParams &p, const CachePolicyConfig &) {
+              return std::unique_ptr<CachePolicy>(
+                  new DirectMappedTagEccPolicy(p));
+          }},
+         {"sram_tag_set_assoc",
+          "set-associative cache with tags held in controller SRAM: "
+          "no tag-check device reads, configurable ways and "
+          "lru/fifo replacement",
+          [](const DramCacheParams &p, const CachePolicyConfig &c) {
+              return std::unique_ptr<CachePolicy>(
+                  new SramTagSetAssocPolicy(p, c));
+          }},
+         {"bypass_selective_insert",
+          "Banshee/TicToc-style frequency-gated insertion: misses "
+          "bypass to NVRAM until a line earns insertThreshold "
+          "misses; DDO interaction preserved",
+          [](const DramCacheParams &p, const CachePolicyConfig &c) {
+              return std::unique_ptr<CachePolicy>(
+                  new BypassSelectiveInsertPolicy(p, c));
+          }}});
     return reg;
-}
-
-void
-CachePolicyRegistry::add(const std::string &kind,
-                         const std::string &description, Factory factory)
-{
-    if (find(kind))
-        fatal("cache policy '%s' registered twice", kind.c_str());
-    entries_.push_back(Entry{kind, description, factory});
-}
-
-const CachePolicyRegistry::Entry *
-CachePolicyRegistry::find(const std::string &kind) const
-{
-    for (const Entry &e : entries_) {
-        if (e.kind == kind)
-            return &e;
-    }
-    return nullptr;
-}
-
-bool
-CachePolicyRegistry::known(const std::string &kind) const
-{
-    return find(kind) != nullptr;
-}
-
-std::vector<std::string>
-CachePolicyRegistry::names() const
-{
-    std::vector<std::string> out;
-    out.reserve(entries_.size());
-    for (const Entry &e : entries_)
-        out.push_back(e.kind);
-    return out;
-}
-
-std::string
-CachePolicyRegistry::description(const std::string &kind) const
-{
-    const Entry *e = find(kind);
-    return e ? e->description : std::string();
 }
 
 std::unique_ptr<CachePolicy>
@@ -182,7 +128,7 @@ CachePolicyRegistry::create(const DramCacheParams &params,
                             const CachePolicyConfig &config) const
 {
     config.validate();
-    return find(config.kind)->factory(params, config);
+    return at(config.kind).factory(params, config);
 }
 
 std::unique_ptr<CachePolicy>

@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "core/registry.hh"
 #include "imc/ddo.hh"
 #include "mem/request.hh"
 
@@ -242,50 +243,27 @@ CausalBreakdown tagEccBreakdown(MemRequestKind kind, const CacheResult &cr,
                                 const DeviceLatencies &lat);
 
 /**
- * String-keyed factory registry. Benches, tests and SystemConfig
+ * The built-in policies, by name. Benches, tests and SystemConfig
  * construct policies by name so a sweep can iterate names() without
  * compiling against every implementation.
  */
 class CachePolicyRegistry
+    : public NameRegistry<std::unique_ptr<CachePolicy> (*)(
+          const DramCacheParams &, const CachePolicyConfig &)>
 {
   public:
-    using Factory = std::unique_ptr<CachePolicy> (*)(
-        const DramCacheParams &, const CachePolicyConfig &);
-
-    /** The process-wide registry (built-ins pre-registered). */
-    static CachePolicyRegistry &instance();
-
-    /** Register @p kind; re-registration of a known kind is fatal. */
-    void add(const std::string &kind, const std::string &description,
-             Factory factory);
-
-    bool known(const std::string &kind) const;
-
-    /** Registered kinds, in registration order. */
-    std::vector<std::string> names() const;
-
-    /** One-line description of @p kind (empty if unknown). */
-    std::string description(const std::string &kind) const;
+    /** The process-wide table; direct_mapped_tag_ecc comes first. */
+    static const CachePolicyRegistry &instance();
 
     /**
-     * Construct @p config.kind. Unknown kinds are fatal, listing the
-     * registered names — a typo'd policy must never silently fall back
-     * to the default.
+     * Construct @p config.kind after validating @p config; an unknown
+     * kind is fatal, listing the registered names.
      */
     std::unique_ptr<CachePolicy> create(
         const DramCacheParams &params,
         const CachePolicyConfig &config) const;
 
-  private:
-    struct Entry
-    {
-        std::string kind;
-        std::string description;
-        Factory factory;
-    };
-    std::vector<Entry> entries_;
-
-    const Entry *find(const std::string &kind) const;
+    using NameRegistry::NameRegistry;
 };
 
 /** Shorthand for CachePolicyRegistry::instance().create(...). */

@@ -199,9 +199,6 @@ class ChannelController
      * always true, tick()/drainQueues() no-ops, enqueue() fatal.
      */
     ///@{
-    /** Is a real queue engine in the path? */
-    bool queuedMode() const { return txq_ != nullptr; }
-
     /** Backpressure probe for @p kind's queue. */
     bool willAccept(TransactionKind kind) const;
 
@@ -221,9 +218,6 @@ class ChannelController
 
     /** Completion callback; fires once per transaction, issue order. */
     void setCompletionHandler(CompletionHandler handler);
-
-    /** The queue engine, for tests/stats (nullptr when analytic). */
-    const ChannelTxQueue *txQueue() const { return txq_.get(); }
     ///@}
 
     /** Quiesce: flush NVRAM write buffers. */
@@ -250,7 +244,6 @@ class ChannelController
 
     /** Current NVRAM write-bandwidth throttle multiplier (1.0 = none). */
     double throttleFactor() const { return throttle_.factor(); }
-    bool throttled() const { return throttle_.engaged(); }
 
     /**
      * Close the maintenance epoch: issue the REF commands @p dt covers
@@ -262,8 +255,6 @@ class ChannelController
 
     const MaintenanceEngine &maintenance() const { return maint_; }
 
-    const FaultPlan &faultPlan() const { return faultPlan_; }
-
     PerfCounters &counters() { return counters_; }
     const PerfCounters &counters() const { return counters_; }
 
@@ -274,7 +265,6 @@ class ChannelController
     DramDevice &dram() { return dram_; }
     const DramDevice &dram() const { return dram_; }
 
-    MemoryMode mode() const { return mode_; }
     const ChannelParams &params() const { return params_; }
 
     /** Reset cache contents and counters (fresh benchmark). */

@@ -23,17 +23,7 @@ transactionKindName(TransactionKind kind)
 void
 ControllerConfig::validate() const
 {
-    if (!ChannelSchedulerRegistry::instance().known(scheduler)) {
-        std::string known_names;
-        for (const std::string &n :
-             ChannelSchedulerRegistry::instance().names()) {
-            if (!known_names.empty())
-                known_names += ", ";
-            known_names += n;
-        }
-        fatal("unknown channel scheduler '%s' (registered: %s)",
-              scheduler.c_str(), known_names.c_str());
-    }
+    ChannelSchedulerRegistry::instance().at(scheduler);  // fatal when unknown
     if (!queued())
         return;
     if (readQueueEntries == 0 || writeQueueEntries == 0)
@@ -142,113 +132,47 @@ class FrfcfsScheduler : public ChannelScheduler
     }
 };
 
+template <class S>
 std::unique_ptr<ChannelScheduler>
-makeAnalytic(const ControllerConfig &)
+make(const ControllerConfig &)
+{
+    return std::make_unique<S>();
+}
+
+/** The analytic entry builds no queue engine at all. */
+std::unique_ptr<ChannelScheduler>
+makeNone(const ControllerConfig &)
 {
     return nullptr;
 }
 
-std::unique_ptr<ChannelScheduler>
-makeFcfs(const ControllerConfig &)
-{
-    return std::make_unique<FcfsScheduler>();
-}
-
-std::unique_ptr<ChannelScheduler>
-makeReadPriority(const ControllerConfig &)
-{
-    return std::make_unique<ReadPriorityScheduler>();
-}
-
-std::unique_ptr<ChannelScheduler>
-makeFrfcfs(const ControllerConfig &)
-{
-    return std::make_unique<FrfcfsScheduler>();
-}
-
 } // namespace
 
-ChannelSchedulerRegistry &
+const ChannelSchedulerRegistry &
 ChannelSchedulerRegistry::instance()
 {
-    static ChannelSchedulerRegistry reg = [] {
-        ChannelSchedulerRegistry r;
-        r.add("analytic",
-              "degenerate pass-through: no queues, the fixed-cost "
-              "Table I model (byte-identical to pre-queue behavior)",
-              makeAnalytic);
-        r.add("fcfs",
-              "strict arrival order across the read queue and WPQ",
-              makeFcfs);
-        r.add("read_priority",
-              "reads first; WPQ drains in high/low watermark bursts",
-              makeReadPriority);
-        r.add("frfcfs",
-              "first-ready FCFS: open-row hits first, with a "
-              "starvation cap, over read-priority write drain",
-              makeFrfcfs);
-        return r;
-    }();
+    static const ChannelSchedulerRegistry reg(
+        "channel scheduler",
+        {{"analytic",
+          "degenerate pass-through: no queues, the fixed-cost "
+          "Table I model (byte-identical to pre-queue behavior)",
+          makeNone},
+         {"fcfs", "strict arrival order across the read queue and WPQ",
+          make<FcfsScheduler>},
+         {"read_priority",
+          "reads first; WPQ drains in high/low watermark bursts",
+          make<ReadPriorityScheduler>},
+         {"frfcfs",
+          "first-ready FCFS: open-row hits first, with a "
+          "starvation cap, over read-priority write drain",
+          make<FrfcfsScheduler>}});
     return reg;
-}
-
-void
-ChannelSchedulerRegistry::add(const std::string &kind,
-                              const std::string &description,
-                              Factory factory)
-{
-    if (find(kind))
-        fatal("channel scheduler '%s' registered twice", kind.c_str());
-    entries_.push_back(Entry{kind, description, factory});
-}
-
-bool
-ChannelSchedulerRegistry::known(const std::string &kind) const
-{
-    return find(kind) != nullptr;
-}
-
-std::vector<std::string>
-ChannelSchedulerRegistry::names() const
-{
-    std::vector<std::string> out;
-    out.reserve(entries_.size());
-    for (const Entry &e : entries_)
-        out.push_back(e.kind);
-    return out;
-}
-
-std::string
-ChannelSchedulerRegistry::description(const std::string &kind) const
-{
-    const Entry *e = find(kind);
-    return e ? e->description : std::string{};
 }
 
 std::unique_ptr<ChannelScheduler>
 ChannelSchedulerRegistry::create(const ControllerConfig &config) const
 {
-    const Entry *e = find(config.scheduler);
-    if (!e) {
-        std::string known_names;
-        for (const Entry &entry : entries_) {
-            if (!known_names.empty())
-                known_names += ", ";
-            known_names += entry.kind;
-        }
-        fatal("unknown channel scheduler '%s' (registered: %s)",
-              config.scheduler.c_str(), known_names.c_str());
-    }
-    return e->factory(config);
-}
-
-const ChannelSchedulerRegistry::Entry *
-ChannelSchedulerRegistry::find(const std::string &kind) const
-{
-    for (const Entry &e : entries_)
-        if (e.kind == kind)
-            return &e;
-    return nullptr;
+    return at(config.scheduler).factory(config);
 }
 
 namespace

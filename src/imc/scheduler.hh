@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "core/registry.hh"
 #include "core/types.hh"
 #include "imc/transaction.hh"
 #include "mem/maintenance/maintenance.hh"
@@ -185,31 +186,18 @@ class ChannelScheduler
 };
 
 /**
- * String-keyed scheduler factory, mirroring CachePolicyRegistry.
- * "analytic" is registered with a factory that returns nullptr: the
- * controller interprets that as "build no queue engine", which is the
- * degenerate scheduler whose output is the analytic model itself.
+ * The built-in schedulers, by name, in the same constant-table form as
+ * CachePolicyRegistry. "analytic" has a factory that returns nullptr:
+ * the controller interprets that as "build no queue engine", which is
+ * the degenerate scheduler whose output is the analytic model itself.
  */
 class ChannelSchedulerRegistry
+    : public NameRegistry<std::unique_ptr<ChannelScheduler> (*)(
+          const ControllerConfig &)>
 {
   public:
-    using Factory =
-        std::unique_ptr<ChannelScheduler> (*)(const ControllerConfig &);
-
-    /** The process-wide registry (built-ins pre-registered). */
-    static ChannelSchedulerRegistry &instance();
-
-    /** Register @p kind; re-registration of a known kind is fatal. */
-    void add(const std::string &kind, const std::string &description,
-             Factory factory);
-
-    bool known(const std::string &kind) const;
-
-    /** Registered kinds, in registration order. */
-    std::vector<std::string> names() const;
-
-    /** One-line description of @p kind (empty if unknown). */
-    std::string description(const std::string &kind) const;
+    /** The process-wide table. */
+    static const ChannelSchedulerRegistry &instance();
 
     /**
      * Construct @p config.scheduler. Unknown kinds are fatal, listing
@@ -219,16 +207,7 @@ class ChannelSchedulerRegistry
     std::unique_ptr<ChannelScheduler> create(
         const ControllerConfig &config) const;
 
-  private:
-    struct Entry
-    {
-        std::string kind;
-        std::string description;
-        Factory factory;
-    };
-    std::vector<Entry> entries_;
-
-    const Entry *find(const std::string &kind) const;
+    using NameRegistry::NameRegistry;
 };
 
 /** Queue-engine statistics, harvested into PerfCounters per epoch. */
@@ -298,7 +277,6 @@ class ChannelTxQueue
     std::size_t writeDepth() const { return writes_.size(); }
     bool draining() const { return draining_; }
     double clock() const { return clock_; }
-    const ChannelScheduler &scheduler() const { return *sched_; }
 
   private:
     /** Issue the scheduler's next pick; fires its completion. */

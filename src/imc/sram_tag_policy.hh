@@ -66,8 +66,6 @@ class SramTagSetAssocPolicy : public DirectMappedTagEccPolicy
     CausalBreakdown breakdown(MemRequestKind kind, const CacheResult &cr,
                               const DeviceLatencies &lat) const override;
 
-    bool lruReplacement() const { return lru_; }
-
   private:
     /** Evict the set's victim (writeback if dirty), fetch the line from
      *  NVRAM and install the tag. Unlike the base missHandler this does

@@ -77,7 +77,6 @@ class CausalTracer
     ///@{
     void pushContext(const std::string &frame);
     void popContext();
-    const std::string &context() const { return joined_; }
     ///@}
 
     /** @name Hot path */
@@ -133,7 +132,6 @@ class CausalTracer
     std::uint64_t llcHits() const { return llcHitsTotal_; }
     /** Flow ids consumed; the session offsets the next run by this. */
     std::uint64_t flowsEmitted() const { return flowsEmitted_; }
-    const CausalOptions &options() const { return opts_; }
 
   private:
     /** Per-class per-cause tallies within one context. */

@@ -58,7 +58,6 @@ class Log2Histogram
     {
         return static_cast<unsigned>(buckets_.size());
     }
-    unsigned linear() const { return linear_; }
     std::uint64_t bucketCount(unsigned i) const { return buckets_[i]; }
     const std::vector<std::uint64_t> &buckets() const { return buckets_; }
 

@@ -77,13 +77,10 @@ class Observer
 
     /** @name Wiring (done by MemorySystem::attachObserver) */
     ///@{
-    Registry &registry() { return registry_; }
-    const Registry &registry() const { return registry_; }
     Group &root() { return registry_.root(); }
 
     /** Request heatmap collection before attaching. */
     void enableHeatmap() { wantHeatmap_ = true; }
-    bool heatmapWanted() const { return wantHeatmap_; }
 
     /** Per-run provenance (set by MemorySystem::attachObserver). */
     void setProvenance(ConfigDigest d) { provenance_ = std::move(d); }
@@ -172,7 +169,6 @@ class Observer
      * the observed system is destroyed.
      */
     void seal();
-    bool sealed() const { return sealed_; }
 
     /** Rendered registry; seals on first use. */
     const std::string &statsJson();
@@ -186,9 +182,6 @@ class Observer
     const std::vector<PromFamily> &promFamilies();
 
   private:
-    Log2Histogram &latencyHist(CacheOutcome outcome);
-    Log2Histogram &accessHist(CacheOutcome outcome);
-
     std::string runLabel_;
     Registry registry_;
     ConfigDigest provenance_;

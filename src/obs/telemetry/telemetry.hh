@@ -195,7 +195,6 @@ class TelemetrySession
     explicit TelemetrySession(TelemetryOptions opts);
 
     bool enabled() const { return opts_.any(); }
-    const TelemetryOptions &options() const { return opts_; }
     const SloSpec &slo() const { return slo_; }
 
     /**

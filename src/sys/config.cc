@@ -24,7 +24,7 @@ SystemConfig::channelParams() const
     p.dram.capacity = scaledDramPerDimm();
     p.nvram = nvram;
     p.nvram.capacity = scaledNvramPerDimm();
-    p.ddo = ddo;
+    p.ddo.mode = ddoMode;
     p.cacheWays = cacheWays;
     p.insertOnWriteMiss = insertOnWriteMiss;
     p.busBandwidth = busBandwidth;

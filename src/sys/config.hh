@@ -30,8 +30,6 @@ struct SystemConfig
     unsigned sockets = 1;
     /** Memory channels per socket (2 IMCs x 3 channels). */
     unsigned channelsPerSocket = 6;
-    /** Physical cores per socket. */
-    unsigned coresPerSocket = 24;
 
     /** Capacity scale divisor (1024 => 192 GiB DRAM becomes 192 MiB). */
     std::uint64_t scale = 1024;
@@ -65,8 +63,9 @@ struct SystemConfig
      */
     ControllerConfig controller;
 
-    /** 2LM cache options. */
-    DdoConfig ddo;
+    /** 2LM cache options. Of DDO only the mode is a knob: channelParams()
+     *  sizes the recent-insert tracker from the LLC. */
+    DdoMode ddoMode = DdoMode::RecentTracker;
     unsigned cacheWays = 1;
     bool insertOnWriteMiss = true;
     unsigned missHandlerEntries = 24;
@@ -139,7 +138,6 @@ struct SystemConfig
     /** --- derived helpers (scaled) --- */
 
     unsigned totalChannels() const { return sockets * channelsPerSocket; }
-    unsigned totalCores() const { return sockets * coresPerSocket; }
 
     Bytes scaledDramPerDimm() const { return dram.capacity / scale; }
     Bytes scaledNvramPerDimm() const { return nvram.capacity / scale; }

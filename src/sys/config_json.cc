@@ -2,17 +2,19 @@
  * @file
  * Declarative SystemConfig <-> JSON.
  *
- * The JSON key set mirrors the struct one-to-one (snake_case keys,
- * nested objects per sub-struct). fromJson starts from the defaults
- * and applies only the keys present, so a config file states just what
- * it changes; toJson always emits the complete key set, so a captured
- * config is self-documenting and round-trips exactly. Unknown keys —
- * at any nesting level — are fatal: a typo'd knob must never silently
- * run with its default.
+ * Each config struct has one field list: its (JSON key, member) pairs
+ * in output order. The strict Reader (fromJson) and the Writer (toJson)
+ * both walk those lists, so a key is declared once and reading and
+ * writing cannot drift apart. fromJson starts from the defaults and
+ * applies only the keys present; toJson always emits the complete key
+ * set, so a captured config round-trips exactly. Unknown keys — at any
+ * nesting level — are fatal: a typo'd knob must never silently run
+ * with its default.
  */
 
-#include <fstream>
+#include <algorithm>
 #include <sstream>
+#include <type_traits>
 
 #include "core/json.hh"
 #include "core/logging.hh"
@@ -25,318 +27,302 @@ namespace nvsim
 namespace
 {
 
-/** Fail on any key of @p v that checkKey() did not accept. */
-class KeyChecker
+// --- Field lists -----------------------------------------------------------
+//
+// v(key, member) visits a scalar, enum or nested struct member;
+// v.object(key, body) visits a JSON object whose keys body(v) lists.
+// The order here is the toJson key order, which feeds the provenance
+// config hash.
+
+void
+fields(auto &v, DramParams &p)
+{
+    v("capacity", p.capacity);
+    v("bandwidth", p.bandwidth);
+    v("latency", p.latency);
+}
+
+void
+fields(auto &v, NvramParams &p)
+{
+    v("capacity", p.capacity);
+    v("read_bandwidth", p.readBandwidth);
+    v("write_bandwidth", p.writeBandwidth);
+    v("read_latency", p.readLatency);
+    v("write_latency", p.writeLatency);
+    v("read_buffer_entries", p.readBufferEntries);
+    v("wpq_entries", p.wpqEntries);
+    v("write_contention_alpha", p.writeContentionAlpha);
+    v("write_contention_knee", p.writeContentionKnee);
+}
+
+void
+fields(auto &v, ThrottleConfig &p)
+{
+    v("engage_bandwidth", p.engageBandwidth);
+    v("release_bandwidth", p.releaseBandwidth);
+    v("engage_epochs", p.engageEpochs);
+    v("release_epochs", p.releaseEpochs);
+    v("factor", p.factor);
+}
+
+void
+fields(auto &v, FaultConfig &p)
+{
+    v("seed", p.seed);
+    v("nvram_read_correctable", p.nvramReadCorrectable);
+    v("nvram_read_uncorrectable", p.nvramReadUncorrectable);
+    v("nvram_write_correctable", p.nvramWriteCorrectable);
+    v("nvram_write_uncorrectable", p.nvramWriteUncorrectable);
+    v("dram_correctable", p.dramCorrectable);
+    v("tag_ecc_uncorrectable", p.tagEccUncorrectable);
+    v("max_retries", p.maxRetries);
+    v("retry_latency", p.retryLatency);
+    v("throttle", p.throttle);
+}
+
+void
+fields(auto &v, RefreshConfig &p)
+{
+    v("trefi", p.trefi);
+    v("trfc", p.trfc);
+}
+
+void
+fields(auto &v, ScrubConfig &p)
+{
+    v("interval", p.interval);
+    v("correctable", p.correctable);
+    v("uncorrectable", p.uncorrectable);
+    v("retire_threshold", p.retireThreshold);
+    v("retire_capacity", p.retireCapacity);
+}
+
+void
+fields(auto &v, RowHammerConfig &p)
+{
+    v("threshold", p.threshold);
+    v("tracker_entries", p.trackerEntries);
+    v("row_bytes", p.rowBytes);
+    v("blast_radius", p.blastRadius);
+    v("refresh_latency", p.refreshLatency);
+    v("window", p.window);
+}
+
+void
+fields(auto &v, MaintenanceConfig &p)
+{
+    v("seed", p.seed);
+    v("refresh", p.refresh);
+    v("scrub", p.scrub);
+    v("rowhammer", p.rowhammer);
+}
+
+void
+fields(auto &v, ControllerConfig &p)
+{
+    v("scheduler", p.scheduler);
+    v("read_queue_entries", p.readQueueEntries);
+    v("write_queue_entries", p.writeQueueEntries);
+    v("banks", p.banks);
+    v("row_bytes", p.rowBytes);
+    v("drain_high_watermark", p.drainHighWatermark);
+    v("drain_low_watermark", p.drainLowWatermark);
+    v("starvation_cap", p.starvationCap);
+    v("bank_conflict_penalty", p.bankConflictPenalty);
+    v("offered_gbs", p.offeredGBs);
+}
+
+void
+fields(auto &v, CachePolicyConfig &p)
+{
+    v("kind", p.kind);
+    v("replacement", p.replacement);
+    v("insert_threshold", p.insertThreshold);
+    v("counter_entries", p.counterEntries);
+}
+
+void
+fields(auto &v, SystemConfig &c)
+{
+    v("sockets", c.sockets);
+    v("channels_per_socket", c.channelsPerSocket);
+    v("scale", c.scale);
+    v("mode", c.mode);
+    v("dram", c.dram);
+    v("nvram", c.nvram);
+    v("fault", c.fault);
+    v("maintenance", c.maintenance);
+    v("controller", c.controller);
+    v.object("ddo", [&](auto &o) { o("mode", c.ddoMode); });
+    v("policy", c.policy);
+    v("cache_ways", c.cacheWays);
+    v("insert_on_write_miss", c.insertOnWriteMiss);
+    v("miss_handler_entries", c.missHandlerEntries);
+    v("bus_bandwidth", c.busBandwidth);
+    v.object("llc", [&](auto &o) {
+        o("capacity", c.llcCapacity);
+        o("ways", c.llcWays);
+        o("hit_latency", c.llcHitLatency);
+    });
+    v("mlp", c.mlp);
+    v("thread_issue_bandwidth", c.threadIssueBandwidth);
+    v("thread_nt_store_bandwidth", c.threadNtStoreBandwidth);
+    v("interleave_granularity", c.interleaveGranularity);
+    v("dma_engines", c.dmaEngines);
+    v("dma_engine_bandwidth", c.dmaEngineBandwidth);
+    v("epoch_bytes", c.epochBytes);
+    v("scatter_pages", c.scatterPages);
+    v("page_bytes", c.pageBytes);
+    v("page_seed", c.pageSeed);
+}
+
+// --- Enum names ------------------------------------------------------------
+
+const char *enumName(MemoryMode m) { return memoryModeName(m); }
+const char *enumName(DdoMode m) { return ddoModeName(m); }
+
+// Every value of each config enum, so a name parses by lookup.
+constexpr MemoryMode kModes[] = {MemoryMode::OneLm, MemoryMode::TwoLm};
+constexpr DdoMode kDdoModes[] = {DdoMode::None, DdoMode::RecentTracker,
+                                 DdoMode::Oracle};
+const auto &enumValues(MemoryMode) { return kModes; }
+const auto &enumValues(DdoMode) { return kDdoModes; }
+
+// --- Visitors --------------------------------------------------------------
+
+/**
+ * Applies the keys present in one JSON object to the members, then
+ * rejects any key the field list did not name. Type mismatches are
+ * fatal inside JsonValue's typed accessors.
+ */
+class Reader
 {
   public:
-    KeyChecker(const JsonValue &v, const std::string &where)
-        : value_(v), where_(where)
+    Reader(const JsonValue &value, std::string path)
+        : value_(value), path_(std::move(path))
     {
     }
 
-    /** Claim @p key as known; returns its value or nullptr. */
-    const JsonValue *
-    get(const std::string &key)
+    template <class T>
+    void
+    operator()(const char *key, T &member)
     {
-        known_.push_back(key);
-        return value_.find(key);
+        if constexpr (std::is_class_v<T> &&
+                      !std::is_same_v<T, std::string>) {
+            object(key, [&](Reader &o) { fields(o, member); });
+        } else {
+            const JsonValue *v = claim(key);
+            if (!v)
+                return;
+            if constexpr (std::is_same_v<T, bool>)
+                member = v->asBool();
+            else if constexpr (std::is_same_v<T, double>)
+                member = v->asNumber();
+            else if constexpr (std::is_same_v<T, std::string>)
+                member = v->asString();
+            else if constexpr (std::is_enum_v<T>)
+                member = parseEnum<T>(key, v->asString());
+            else
+                member = static_cast<T>(v->asUint());
+        }
     }
 
-    /** After claiming every key: reject the ones nobody claimed. */
+    template <class Body>
+    void
+    object(const char *key, Body body)
+    {
+        if (const JsonValue *v = claim(key)) {
+            Reader child(*v, path_.empty() ? key : path_ + "." + key);
+            body(child);
+            child.finish();
+        }
+    }
+
+    /** After the field list ran: reject the keys it did not claim. */
     void
     finish() const
     {
         for (const auto &m : value_.members()) {
-            bool ok = false;
-            for (const std::string &k : known_) {
-                if (k == m.first) {
-                    ok = true;
-                    break;
-                }
-            }
-            if (!ok)
+            if (std::find(claimed_.begin(), claimed_.end(), m.first) ==
+                claimed_.end())
                 fatal("config: unknown key '%s' in %s", m.first.c_str(),
-                      where_.c_str());
+                      path_.empty() ? "the top-level object"
+                                    : path_.c_str());
         }
     }
 
   private:
+    /** Mark @p key known; returns its value or nullptr. */
+    const JsonValue *
+    claim(const char *key)
+    {
+        claimed_.push_back(key);
+        return value_.find(key);
+    }
+
+    template <class E>
+    E
+    parseEnum(const char *key, const std::string &name) const
+    {
+        std::string list;
+        for (E e : enumValues(E{})) {
+            if (name == enumName(e))
+                return e;
+            list += list.empty() ? "" : "|";
+            list += enumName(e);
+        }
+        fatal("config: %s%s%s must be one of %s, got \"%s\"",
+              path_.c_str(), path_.empty() ? "" : ".", key, list.c_str(),
+              name.c_str());
+    }
+
     const JsonValue &value_;
-    std::string where_;
-    std::vector<std::string> known_;
+    std::string path_;  //!< dotted key path; empty at the top level
+    std::vector<const char *> claimed_;
 };
 
-void
-setUnsigned(const JsonValue *v, unsigned &out)
+/** Emits every member in field-list order. */
+class Writer
 {
-    if (v)
-        out = static_cast<unsigned>(v->asUint());
-}
+  public:
+    explicit Writer(std::ostream &out) : w_(out) {}
 
-void
-setU32(const JsonValue *v, std::uint32_t &out)
-{
-    if (v)
-        out = static_cast<std::uint32_t>(v->asUint());
-}
+    template <class T>
+    void
+    operator()(const char *key, T &member)
+    {
+        if constexpr (std::is_class_v<T> &&
+                      !std::is_same_v<T, std::string>)
+            object(key, [&](Writer &o) { fields(o, member); });
+        else if constexpr (std::is_enum_v<T>)
+            w_.field(key, enumName(member));
+        else if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool>)
+            w_.field(key, std::uint64_t(member));
+        else
+            w_.field(key, member);
+    }
 
-void
-setU64(const JsonValue *v, std::uint64_t &out)
-{
-    if (v)
-        out = v->asUint();
-}
+    template <class Body>
+    void
+    object(const char *key, Body body)
+    {
+        w_.beginObject(key);
+        body(*this);
+        w_.endObject();
+    }
 
-void
-setDouble(const JsonValue *v, double &out)
-{
-    if (v)
-        out = v->asNumber();
-}
-
-void
-setBool(const JsonValue *v, bool &out)
-{
-    if (v)
-        out = v->asBool();
-}
-
-void
-setString(const JsonValue *v, std::string &out)
-{
-    if (v)
-        out = v->asString();
-}
-
-void
-parseMode(const JsonValue *v, MemoryMode &out)
-{
-    if (!v)
-        return;
-    const std::string &s = v->asString();
-    if (s == "1LM")
-        out = MemoryMode::OneLm;
-    else if (s == "2LM")
-        out = MemoryMode::TwoLm;
-    else
-        fatal("config: mode must be \"1LM\" or \"2LM\", got \"%s\"",
-              s.c_str());
-}
-
-void
-parseDdoMode(const JsonValue *v, DdoMode &out)
-{
-    if (!v)
-        return;
-    const std::string &s = v->asString();
-    if (s == "none")
-        out = DdoMode::None;
-    else if (s == "recent_tracker")
-        out = DdoMode::RecentTracker;
-    else if (s == "oracle")
-        out = DdoMode::Oracle;
-    else
-        fatal("config: ddo.mode must be none|recent_tracker|oracle, "
-              "got \"%s\"",
-              s.c_str());
-}
-
-void
-parseDram(const JsonValue &v, DramParams &p)
-{
-    KeyChecker k(v, "dram");
-    setU64(k.get("capacity"), p.capacity);
-    setDouble(k.get("bandwidth"), p.bandwidth);
-    setDouble(k.get("latency"), p.latency);
-    k.finish();
-}
-
-void
-parseNvram(const JsonValue &v, NvramParams &p)
-{
-    KeyChecker k(v, "nvram");
-    setU64(k.get("capacity"), p.capacity);
-    setDouble(k.get("read_bandwidth"), p.readBandwidth);
-    setDouble(k.get("write_bandwidth"), p.writeBandwidth);
-    setDouble(k.get("read_latency"), p.readLatency);
-    setDouble(k.get("write_latency"), p.writeLatency);
-    setUnsigned(k.get("read_buffer_entries"), p.readBufferEntries);
-    setUnsigned(k.get("wpq_entries"), p.wpqEntries);
-    setDouble(k.get("write_contention_alpha"), p.writeContentionAlpha);
-    setUnsigned(k.get("write_contention_knee"), p.writeContentionKnee);
-    k.finish();
-}
-
-void
-parsePolicy(const JsonValue &v, CachePolicyConfig &p)
-{
-    KeyChecker k(v, "policy");
-    setString(k.get("kind"), p.kind);
-    setString(k.get("replacement"), p.replacement);
-    setUnsigned(k.get("insert_threshold"), p.insertThreshold);
-    setU32(k.get("counter_entries"), p.counterEntries);
-    k.finish();
-}
-
-void
-parseDdo(const JsonValue &v, DdoConfig &p)
-{
-    KeyChecker k(v, "ddo");
-    parseDdoMode(k.get("mode"), p.mode);
-    setU32(k.get("tracker_entries"), p.trackerEntries);
-    k.finish();
-}
-
-void
-parseThrottle(const JsonValue &v, ThrottleConfig &p)
-{
-    KeyChecker k(v, "fault.throttle");
-    setDouble(k.get("engage_bandwidth"), p.engageBandwidth);
-    setDouble(k.get("release_bandwidth"), p.releaseBandwidth);
-    setUnsigned(k.get("engage_epochs"), p.engageEpochs);
-    setUnsigned(k.get("release_epochs"), p.releaseEpochs);
-    setDouble(k.get("factor"), p.factor);
-    k.finish();
-}
-
-void
-parseFault(const JsonValue &v, FaultConfig &p)
-{
-    KeyChecker k(v, "fault");
-    setU64(k.get("seed"), p.seed);
-    setDouble(k.get("nvram_read_correctable"), p.nvramReadCorrectable);
-    setDouble(k.get("nvram_read_uncorrectable"),
-              p.nvramReadUncorrectable);
-    setDouble(k.get("nvram_write_correctable"), p.nvramWriteCorrectable);
-    setDouble(k.get("nvram_write_uncorrectable"),
-              p.nvramWriteUncorrectable);
-    setDouble(k.get("dram_correctable"), p.dramCorrectable);
-    setDouble(k.get("tag_ecc_uncorrectable"), p.tagEccUncorrectable);
-    setUnsigned(k.get("max_retries"), p.maxRetries);
-    setDouble(k.get("retry_latency"), p.retryLatency);
-    if (const JsonValue *t = k.get("throttle"))
-        parseThrottle(*t, p.throttle);
-    k.finish();
-}
-
-void
-parseRefresh(const JsonValue &v, RefreshConfig &p)
-{
-    KeyChecker k(v, "maintenance.refresh");
-    setDouble(k.get("trefi"), p.trefi);
-    setDouble(k.get("trfc"), p.trfc);
-    k.finish();
-}
-
-void
-parseScrub(const JsonValue &v, ScrubConfig &p)
-{
-    KeyChecker k(v, "maintenance.scrub");
-    setDouble(k.get("interval"), p.interval);
-    setDouble(k.get("correctable"), p.correctable);
-    setDouble(k.get("uncorrectable"), p.uncorrectable);
-    setUnsigned(k.get("retire_threshold"), p.retireThreshold);
-    setU64(k.get("retire_capacity"), p.retireCapacity);
-    k.finish();
-}
-
-void
-parseRowHammer(const JsonValue &v, RowHammerConfig &p)
-{
-    KeyChecker k(v, "maintenance.rowhammer");
-    setU64(k.get("threshold"), p.threshold);
-    setU32(k.get("tracker_entries"), p.trackerEntries);
-    setU64(k.get("row_bytes"), p.rowBytes);
-    setUnsigned(k.get("blast_radius"), p.blastRadius);
-    setDouble(k.get("refresh_latency"), p.refreshLatency);
-    setDouble(k.get("window"), p.window);
-    k.finish();
-}
-
-void
-parseMaintenance(const JsonValue &v, MaintenanceConfig &p)
-{
-    KeyChecker k(v, "maintenance");
-    setU64(k.get("seed"), p.seed);
-    if (const JsonValue *r = k.get("refresh"))
-        parseRefresh(*r, p.refresh);
-    if (const JsonValue *s = k.get("scrub"))
-        parseScrub(*s, p.scrub);
-    if (const JsonValue *rh = k.get("rowhammer"))
-        parseRowHammer(*rh, p.rowhammer);
-    k.finish();
-}
-
-void
-parseController(const JsonValue &v, ControllerConfig &p)
-{
-    KeyChecker k(v, "controller");
-    setString(k.get("scheduler"), p.scheduler);
-    setUnsigned(k.get("read_queue_entries"), p.readQueueEntries);
-    setUnsigned(k.get("write_queue_entries"), p.writeQueueEntries);
-    setUnsigned(k.get("banks"), p.banks);
-    setU64(k.get("row_bytes"), p.rowBytes);
-    setUnsigned(k.get("drain_high_watermark"), p.drainHighWatermark);
-    setUnsigned(k.get("drain_low_watermark"), p.drainLowWatermark);
-    setUnsigned(k.get("starvation_cap"), p.starvationCap);
-    setDouble(k.get("bank_conflict_penalty"), p.bankConflictPenalty);
-    setDouble(k.get("offered_gbs"), p.offeredGBs);
-    k.finish();
-}
-
-void
-parseLlc(const JsonValue &v, SystemConfig &c)
-{
-    KeyChecker k(v, "llc");
-    setU64(k.get("capacity"), c.llcCapacity);
-    setUnsigned(k.get("ways"), c.llcWays);
-    setDouble(k.get("hit_latency"), c.llcHitLatency);
-    k.finish();
-}
+  private:
+    obs::JsonWriter w_;
+};
 
 SystemConfig
 configFromRoot(const JsonValue &root)
 {
     SystemConfig c;
-    KeyChecker k(root, "the top-level object");
-    setUnsigned(k.get("sockets"), c.sockets);
-    setUnsigned(k.get("channels_per_socket"), c.channelsPerSocket);
-    setUnsigned(k.get("cores_per_socket"), c.coresPerSocket);
-    setU64(k.get("scale"), c.scale);
-    parseMode(k.get("mode"), c.mode);
-    if (const JsonValue *v = k.get("dram"))
-        parseDram(*v, c.dram);
-    if (const JsonValue *v = k.get("nvram"))
-        parseNvram(*v, c.nvram);
-    if (const JsonValue *v = k.get("fault"))
-        parseFault(*v, c.fault);
-    if (const JsonValue *v = k.get("maintenance"))
-        parseMaintenance(*v, c.maintenance);
-    if (const JsonValue *v = k.get("controller"))
-        parseController(*v, c.controller);
-    if (const JsonValue *v = k.get("ddo"))
-        parseDdo(*v, c.ddo);
-    if (const JsonValue *v = k.get("policy"))
-        parsePolicy(*v, c.policy);
-    setUnsigned(k.get("cache_ways"), c.cacheWays);
-    setBool(k.get("insert_on_write_miss"), c.insertOnWriteMiss);
-    setUnsigned(k.get("miss_handler_entries"), c.missHandlerEntries);
-    setDouble(k.get("bus_bandwidth"), c.busBandwidth);
-    if (const JsonValue *v = k.get("llc"))
-        parseLlc(*v, c);
-    setUnsigned(k.get("mlp"), c.mlp);
-    setDouble(k.get("thread_issue_bandwidth"),
-              c.threadIssueBandwidth);
-    setDouble(k.get("thread_nt_store_bandwidth"),
-              c.threadNtStoreBandwidth);
-    setU64(k.get("interleave_granularity"), c.interleaveGranularity);
-    setUnsigned(k.get("dma_engines"), c.dmaEngines);
-    setDouble(k.get("dma_engine_bandwidth"), c.dmaEngineBandwidth);
-    setU64(k.get("epoch_bytes"), c.epochBytes);
-    setBool(k.get("scatter_pages"), c.scatterPages);
-    setU64(k.get("page_bytes"), c.pageBytes);
-    setU64(k.get("page_seed"), c.pageSeed);
-    k.finish();
+    Reader r(root, "");
+    fields(r, c);
+    r.finish();
     return c;
 }
 
@@ -351,146 +337,18 @@ SystemConfig::fromJson(const std::string &text)
 SystemConfig
 SystemConfig::fromJsonFile(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot open config file '%s'", path.c_str());
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    // Parse errors cite the file via parseJson's position reporting.
-    return configFromRoot(parseJson(ss.str(), path));
+    return configFromRoot(parseJsonFile(path));
 }
 
 std::string
 SystemConfig::toJson() const
 {
+    // The field lists take mutable members so the Reader can share
+    // them; the Writer only reads, so it walks a copy.
+    SystemConfig c = *this;
     std::ostringstream out;
-    obs::JsonWriter w(out);
-    w.beginObject();
-    w.field("sockets", std::uint64_t(sockets));
-    w.field("channels_per_socket", std::uint64_t(channelsPerSocket));
-    w.field("cores_per_socket", std::uint64_t(coresPerSocket));
-    w.field("scale", std::uint64_t(scale));
-    w.field("mode", memoryModeName(mode));
-
-    w.beginObject("dram");
-    w.field("capacity", std::uint64_t(dram.capacity));
-    w.field("bandwidth", dram.bandwidth);
-    w.field("latency", dram.latency);
-    w.endObject();
-
-    w.beginObject("nvram");
-    w.field("capacity", std::uint64_t(nvram.capacity));
-    w.field("read_bandwidth", nvram.readBandwidth);
-    w.field("write_bandwidth", nvram.writeBandwidth);
-    w.field("read_latency", nvram.readLatency);
-    w.field("write_latency", nvram.writeLatency);
-    w.field("read_buffer_entries",
-            std::uint64_t(nvram.readBufferEntries));
-    w.field("wpq_entries", std::uint64_t(nvram.wpqEntries));
-    w.field("write_contention_alpha", nvram.writeContentionAlpha);
-    w.field("write_contention_knee",
-            std::uint64_t(nvram.writeContentionKnee));
-    w.endObject();
-
-    w.beginObject("fault");
-    w.field("seed", std::uint64_t(fault.seed));
-    w.field("nvram_read_correctable", fault.nvramReadCorrectable);
-    w.field("nvram_read_uncorrectable", fault.nvramReadUncorrectable);
-    w.field("nvram_write_correctable", fault.nvramWriteCorrectable);
-    w.field("nvram_write_uncorrectable", fault.nvramWriteUncorrectable);
-    w.field("dram_correctable", fault.dramCorrectable);
-    w.field("tag_ecc_uncorrectable", fault.tagEccUncorrectable);
-    w.field("max_retries", std::uint64_t(fault.maxRetries));
-    w.field("retry_latency", fault.retryLatency);
-    w.beginObject("throttle");
-    w.field("engage_bandwidth", fault.throttle.engageBandwidth);
-    w.field("release_bandwidth", fault.throttle.releaseBandwidth);
-    w.field("engage_epochs", std::uint64_t(fault.throttle.engageEpochs));
-    w.field("release_epochs",
-            std::uint64_t(fault.throttle.releaseEpochs));
-    w.field("factor", fault.throttle.factor);
-    w.endObject();
-    w.endObject();
-
-    w.beginObject("maintenance");
-    w.field("seed", std::uint64_t(maintenance.seed));
-    w.beginObject("refresh");
-    w.field("trefi", maintenance.refresh.trefi);
-    w.field("trfc", maintenance.refresh.trfc);
-    w.endObject();
-    w.beginObject("scrub");
-    w.field("interval", maintenance.scrub.interval);
-    w.field("correctable", maintenance.scrub.correctable);
-    w.field("uncorrectable", maintenance.scrub.uncorrectable);
-    w.field("retire_threshold",
-            std::uint64_t(maintenance.scrub.retireThreshold));
-    w.field("retire_capacity",
-            std::uint64_t(maintenance.scrub.retireCapacity));
-    w.endObject();
-    w.beginObject("rowhammer");
-    w.field("threshold", std::uint64_t(maintenance.rowhammer.threshold));
-    w.field("tracker_entries",
-            std::uint64_t(maintenance.rowhammer.trackerEntries));
-    w.field("row_bytes", std::uint64_t(maintenance.rowhammer.rowBytes));
-    w.field("blast_radius",
-            std::uint64_t(maintenance.rowhammer.blastRadius));
-    w.field("refresh_latency", maintenance.rowhammer.refreshLatency);
-    w.field("window", maintenance.rowhammer.window);
-    w.endObject();
-    w.endObject();
-
-    w.beginObject("controller");
-    w.field("scheduler", controller.scheduler);
-    w.field("read_queue_entries",
-            std::uint64_t(controller.readQueueEntries));
-    w.field("write_queue_entries",
-            std::uint64_t(controller.writeQueueEntries));
-    w.field("banks", std::uint64_t(controller.banks));
-    w.field("row_bytes", std::uint64_t(controller.rowBytes));
-    w.field("drain_high_watermark",
-            std::uint64_t(controller.drainHighWatermark));
-    w.field("drain_low_watermark",
-            std::uint64_t(controller.drainLowWatermark));
-    w.field("starvation_cap", std::uint64_t(controller.starvationCap));
-    w.field("bank_conflict_penalty", controller.bankConflictPenalty);
-    w.field("offered_gbs", controller.offeredGBs);
-    w.endObject();
-
-    w.beginObject("ddo");
-    w.field("mode", ddoModeName(ddo.mode));
-    w.field("tracker_entries", std::uint64_t(ddo.trackerEntries));
-    w.endObject();
-
-    w.beginObject("policy");
-    w.field("kind", policy.kind);
-    w.field("replacement", policy.replacement);
-    w.field("insert_threshold", std::uint64_t(policy.insertThreshold));
-    w.field("counter_entries", std::uint64_t(policy.counterEntries));
-    w.endObject();
-
-    w.field("cache_ways", std::uint64_t(cacheWays));
-    w.field("insert_on_write_miss", insertOnWriteMiss);
-    w.field("miss_handler_entries", std::uint64_t(missHandlerEntries));
-    w.field("bus_bandwidth", busBandwidth);
-
-    w.beginObject("llc");
-    w.field("capacity", std::uint64_t(llcCapacity));
-    w.field("ways", std::uint64_t(llcWays));
-    w.field("hit_latency", llcHitLatency);
-    w.endObject();
-
-    w.field("mlp", std::uint64_t(mlp));
-    w.field("thread_issue_bandwidth", threadIssueBandwidth);
-    w.field("thread_nt_store_bandwidth", threadNtStoreBandwidth);
-    w.field("interleave_granularity",
-            std::uint64_t(interleaveGranularity));
-    w.field("dma_engines", std::uint64_t(dmaEngines));
-    w.field("dma_engine_bandwidth", dmaEngineBandwidth);
-    w.field("epoch_bytes", std::uint64_t(epochBytes));
-    w.field("scatter_pages", scatterPages);
-    w.field("page_bytes", std::uint64_t(pageBytes));
-    w.field("page_seed", std::uint64_t(pageSeed));
-    w.endObject();
+    Writer w(out);
+    w.object("", [&](Writer &o) { fields(o, c); });
     return out.str();
 }
 

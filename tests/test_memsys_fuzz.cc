@@ -63,7 +63,7 @@ TEST_P(MemSysFuzz, InvariantsHoldUnderRandomTraffic)
     cfg.scale = 1u << 14;
     cfg.scatterPages = fp.scatter;
     cfg.cacheWays = fp.ways;
-    cfg.ddo.mode = fp.ddo;
+    cfg.ddoMode = fp.ddo;
     cfg.epochBytes = 32 * kKiB;
     MemorySystem sys(cfg);
 

@@ -5,11 +5,15 @@
  * behaves identically when driven through the CachePolicy interface,
  * the SRAM-tag policy really does eliminate tag-check device reads,
  * the bypass policy honors its insertion threshold, and SystemConfig
- * survives a JSON round trip.
+ * survives a JSON round trip with its serialized bytes pinned.
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
+#include "core/json.hh"
 #include "imc/bypass_policy.hh"
 #include "imc/cache_policy.hh"
 #include "imc/dram_cache.hh"
@@ -329,7 +333,7 @@ TEST(ConfigJson, RoundTripPreservesEveryField)
     cfg.policy.kind = "bypass_selective_insert";
     cfg.policy.insertThreshold = 5;
     cfg.policy.replacement = "fifo";
-    cfg.ddo.mode = DdoMode::Oracle;
+    cfg.ddoMode = DdoMode::Oracle;
 
     SystemConfig back = SystemConfig::fromJson(cfg.toJson());
     EXPECT_EQ(back.mode, cfg.mode);
@@ -341,7 +345,7 @@ TEST(ConfigJson, RoundTripPreservesEveryField)
     EXPECT_EQ(back.policy.insertThreshold, cfg.policy.insertThreshold);
     EXPECT_EQ(back.policy.replacement, cfg.policy.replacement);
     EXPECT_EQ(back.policy.counterEntries, cfg.policy.counterEntries);
-    EXPECT_EQ(back.ddo.mode, cfg.ddo.mode);
+    EXPECT_EQ(back.ddoMode, cfg.ddoMode);
     EXPECT_EQ(back.dram.capacity, cfg.dram.capacity);
     EXPECT_EQ(back.nvram.readBandwidth, cfg.nvram.readBandwidth);
     EXPECT_EQ(back.llcCapacity, cfg.llcCapacity);
@@ -357,6 +361,156 @@ TEST(ConfigJson, DefaultsSurviveRoundTrip)
     SystemConfig back = SystemConfig::fromJson(def.toJson());
     EXPECT_EQ(back.toJson(), def.toJson());
     EXPECT_EQ(back.policy.kind, "direct_mapped_tag_ecc");
+}
+
+namespace
+{
+
+/** A golden file's text, without the trailing newline. */
+std::string
+readGolden(const std::string &name)
+{
+    std::ifstream in(std::string(NVSIM_GOLDEN_DIR) + "/" + name);
+    EXPECT_TRUE(in) << name;
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    std::string text = ss.str();
+    if (!text.empty() && text.back() == '\n')
+        text.pop_back();
+    return text;
+}
+
+/** Every SystemConfig field set to a value distinct from its default
+ *  and from every other field's, so a key bound to the wrong member, or
+ *  two keys swapped, changes the serialized text. */
+SystemConfig
+everyFieldConfig()
+{
+    SystemConfig c;
+    c.sockets = 3;
+    c.channelsPerSocket = 5;
+    c.scale = 2048;
+    c.mode = MemoryMode::OneLm;
+    c.dram.capacity = 17 * kGiB;
+    c.dram.bandwidth = 11.5e9;
+    c.dram.latency = 71e-9;
+    c.nvram.capacity = 257 * kGiB;
+    c.nvram.readBandwidth = 6.25e9;
+    c.nvram.writeBandwidth = 2.125e9;
+    c.nvram.readLatency = 301e-9;
+    c.nvram.writeLatency = 97e-9;
+    c.nvram.readBufferEntries = 11;
+    c.nvram.wpqEntries = 13;
+    c.nvram.writeContentionAlpha = 0.375;
+    c.nvram.writeContentionKnee = 9;
+    c.fault.seed = 101;
+    c.fault.nvramReadCorrectable = 1.5e-3;
+    c.fault.nvramReadUncorrectable = 2.5e-5;
+    c.fault.nvramWriteCorrectable = 3.5e-3;
+    c.fault.nvramWriteUncorrectable = 4.5e-5;
+    c.fault.dramCorrectable = 5.5e-4;
+    c.fault.tagEccUncorrectable = 6.5e-6;
+    c.fault.maxRetries = 7;
+    c.fault.retryLatency = 3e-6;
+    c.fault.throttle.engageBandwidth = 1.75e9;
+    c.fault.throttle.releaseBandwidth = 1.25e9;
+    c.fault.throttle.engageEpochs = 19;
+    c.fault.throttle.releaseEpochs = 23;
+    c.fault.throttle.factor = 0.625;
+    c.maintenance.seed = 103;
+    c.maintenance.refresh.trefi = 7.8e-6;
+    c.maintenance.refresh.trfc = 410e-9;
+    c.maintenance.scrub.interval = 1500;
+    c.maintenance.scrub.correctable = 0.0125;
+    c.maintenance.scrub.uncorrectable = 0.0025;
+    c.maintenance.scrub.retireThreshold = 29;
+    c.maintenance.scrub.retireCapacity = 31;
+    c.maintenance.rowhammer.threshold = 4099;
+    c.maintenance.rowhammer.trackerEntries = 37;
+    c.maintenance.rowhammer.rowBytes = 16384;
+    c.maintenance.rowhammer.blastRadius = 41;
+    c.maintenance.rowhammer.refreshLatency = 55e-9;
+    c.maintenance.rowhammer.window = 32e-3;
+    c.controller.scheduler = "read_priority";
+    c.controller.readQueueEntries = 43;
+    c.controller.writeQueueEntries = 47;
+    c.controller.banks = 53;
+    c.controller.rowBytes = 4096;
+    c.controller.drainHighWatermark = 59;
+    c.controller.drainLowWatermark = 61;
+    c.controller.starvationCap = 67;
+    c.controller.bankConflictPenalty = 45e-9;
+    c.controller.offeredGBs = 12.5;
+    c.ddoMode = DdoMode::Oracle;
+    c.policy.kind = "sram_tag_set_assoc";
+    c.policy.replacement = "fifo";
+    c.policy.insertThreshold = 71;
+    c.policy.counterEntries = 73;
+    c.cacheWays = 79;
+    c.insertOnWriteMiss = false;
+    c.missHandlerEntries = 83;
+    c.busBandwidth = 17.5e9;
+    c.llcCapacity = 45 * kMiB;
+    c.llcWays = 89;
+    c.llcHitLatency = 23e-9;
+    c.mlp = 97;
+    c.threadIssueBandwidth = 9.5e9;
+    c.threadNtStoreBandwidth = 3.25e9;
+    c.interleaveGranularity = 8 * kKiB;
+    c.dmaEngines = 107;
+    c.dmaEngineBandwidth = 6.75e9;
+    c.epochBytes = 3 * kMiB;
+    c.scatterPages = true;
+    c.pageBytes = 1 * kMiB;
+    c.pageSeed = 109;
+    return c;
+}
+
+/** Every leaf of @p a differs from the same leaf of @p b. */
+void
+expectEveryLeafDiffers(const JsonValue &a, const JsonValue &b,
+                       const std::string &path)
+{
+    if (a.isObject()) {
+        ASSERT_TRUE(b.isObject()) << path;
+        ASSERT_EQ(a.members().size(), b.members().size()) << path;
+        for (const auto &m : a.members()) {
+            const JsonValue *other = b.find(m.first);
+            ASSERT_NE(other, nullptr) << path << "." << m.first;
+            expectEveryLeafDiffers(m.second, *other, path + "." + m.first);
+        }
+    } else if (a.isString()) {
+        EXPECT_NE(a.asString(), b.asString()) << path;
+    } else if (a.isBool()) {
+        EXPECT_NE(a.asBool(), b.asBool()) << path;
+    } else {
+        EXPECT_NE(a.asNumber(), b.asNumber()) << path;
+    }
+}
+
+} // namespace
+
+// toJson() feeds the provenance config hash, so its bytes are pinned:
+// every key, in order, with its number formatting.
+TEST(ConfigJson, EveryFieldMatchesGolden)
+{
+    const std::string golden = readGolden("config_every_field.json");
+    EXPECT_EQ(everyFieldConfig().toJson(), golden);
+    EXPECT_EQ(SystemConfig::fromJson(golden).toJson(), golden);
+}
+
+TEST(ConfigJson, DefaultsMatchGolden)
+{
+    const std::string golden = readGolden("config_defaults.json");
+    EXPECT_EQ(SystemConfig{}.toJson(), golden);
+    EXPECT_EQ(SystemConfig::fromJson(golden).toJson(), golden);
+}
+
+TEST(ConfigJson, EveryFieldGoldenChangesEveryKey)
+{
+    expectEveryLeafDiffers(
+        parseJson(readGolden("config_every_field.json")),
+        parseJson(readGolden("config_defaults.json")), "config");
 }
 
 TEST(ConfigJsonDeath, UnknownTopLevelKeyIsFatal)
@@ -376,4 +530,25 @@ TEST(ConfigJsonDeath, MalformedJsonIsFatalWithPosition)
 {
     EXPECT_EXIT(SystemConfig::fromJson("{\"sockets\": }"),
                 ::testing::ExitedWithCode(1), "config");
+}
+
+TEST(ConfigJsonDeath, RemovedKeysAreUnknown)
+{
+    // Neither knob changed a run: the core count had no reader, and
+    // channelParams() sizes the DDO tracker from the LLC.
+    EXPECT_EXIT(SystemConfig::fromJson("{\"cores_per_socket\": 24}"),
+                ::testing::ExitedWithCode(1),
+                "unknown key 'cores_per_socket' in the top-level object");
+    EXPECT_EXIT(
+        SystemConfig::fromJson("{\"ddo\": {\"tracker_entries\": 7}}"),
+        ::testing::ExitedWithCode(1), "unknown key 'tracker_entries' in ddo");
+}
+
+TEST(ConfigJsonDeath, BadEnumNameIsFatal)
+{
+    EXPECT_EXIT(SystemConfig::fromJson("{\"mode\": \"3LM\"}"),
+                ::testing::ExitedWithCode(1), "mode must be one of 1LM.2LM");
+    EXPECT_EXIT(
+        SystemConfig::fromJson("{\"ddo\": {\"mode\": \"always\"}}"),
+        ::testing::ExitedWithCode(1), "ddo.mode must be one of none");
 }
