@@ -90,84 +90,6 @@ realArg(const std::string &value, const char *flag)
     return v;
 }
 
-/**
- * Flags that cannot change any simulated result — output paths,
- * worker counts, report sizes. They are excluded from the provenance
- * manifest so the same experiment writes byte-identical artifacts at
- * any --jobs=N or output filename.
- */
-inline bool
-manifestNeutral(const char *arg)
-{
-    static const char *const kNeutral[] = {
-        "--jobs=",          "--stats-json=",  "--stats-prom=",
-        "--perfetto=",      "--set-heatmap=", "--causal-trace=",
-        "--folded-stacks=", "--telemetry=",   "--telemetry-json=",
-        "--anomaly-report=", "--top-sets=",
-    };
-    for (const char *prefix : kNeutral) {
-        if (std::strncmp(arg, prefix, std::strlen(prefix)) == 0)
-            return true;
-    }
-    return false;
-}
-
-/** Consume one observability flag; false if @p arg is not one. */
-inline bool
-parseObsFlag(const char *arg, obs::SessionOptions &opts)
-{
-    std::string value;
-    if (matchFlag(arg, "--stats-json=", &opts.statsJsonPath) ||
-        matchFlag(arg, "--stats-prom=", &opts.statsPromPath) ||
-        matchFlag(arg, "--perfetto=", &opts.perfettoPath) ||
-        matchFlag(arg, "--set-heatmap=", &opts.heatmapPath) ||
-        matchFlag(arg, "--causal-trace=", &opts.causalJsonPath) ||
-        matchFlag(arg, "--folded-stacks=", &opts.foldedPath)) {
-        return true;
-    }
-    if (matchFlag(arg, "--top-sets=", &value)) {
-        opts.topSets =
-            static_cast<std::size_t>(numberArg(value, "--top-sets="));
-        return true;
-    }
-    if (matchFlag(arg, "--causal-sample=", &value)) {
-        opts.causalSamplePeriod = numberArg(value, "--causal-sample=");
-        if (opts.causalSamplePeriod == 0)
-            fatal("--causal-sample= must be >= 1");
-        return true;
-    }
-    if (matchFlag(arg, "--causal-seed=", &value)) {
-        opts.causalSeed = numberArg(value, "--causal-seed=");
-        return true;
-    }
-    if (matchFlag(arg, "--telemetry=", &opts.telemetry.csvPath) ||
-        matchFlag(arg, "--telemetry-json=", &opts.telemetry.jsonPath) ||
-        matchFlag(arg, "--slo=", &opts.telemetry.sloSpec)) {
-        return true;
-    }
-    if (matchFlag(arg, "--telemetry-window=", &value)) {
-        opts.telemetry.windowSeconds =
-            timeArg(value, "--telemetry-window=");
-        return true;
-    }
-    if (matchFlag(arg, "--telemetry-ring=", &value)) {
-        opts.telemetry.ringWindows = static_cast<std::size_t>(
-            numberArg(value, "--telemetry-ring="));
-        return true;
-    }
-    if (matchFlag(arg, "--anomaly-report=",
-                  &opts.telemetry.anomalyJsonPath)) {
-        return true;
-    }
-    if (matchFlag(arg, "--anomaly-z=", &value)) {
-        opts.telemetry.anomalyZ = realArg(value, "--anomaly-z=");
-        if (opts.telemetry.anomalyZ <= 0)
-            fatal("--anomaly-z= must be positive");
-        return true;
-    }
-    return false;
-}
-
 } // namespace detail
 
 /** Options shared by every bench binary. */
@@ -182,42 +104,158 @@ struct BenchOptions
     std::string configPath;
 };
 
+/**
+ * One bench flag. This row alone drives its parsing, whether it is
+ * recorded in the provenance manifest, and its entry in benchUsage().
+ */
+struct BenchFlag
+{
+    /** "--name=" for a flag that takes a value, "--name" for a switch. */
+    const char *name;
+    /** Value kind shown in the usage ("FILE", "N", ...); null: switch. */
+    const char *metavar;
+    /**
+     * Cannot change any simulated result (output paths, worker
+     * counts, report sizes): kept out of the provenance manifest so
+     * the same experiment writes byte-identical artifacts at any
+     * --jobs=N or output filename.
+     */
+    bool neutral;
+    /** Usage text; each '\n' starts a continuation line. */
+    const char *help;
+    /** Store @p value (empty for a switch); @p flag names the row. */
+    void (*set)(BenchOptions &opts, const std::string &value,
+                const char *flag);
+};
+
+/** Every flag the benches share, in usage order. */
+inline const BenchFlag kBenchFlags[] = {
+    {"--config=", "FILE", false,
+     "declarative SystemConfig JSON; the\n"
+     "bench's built-in defaults otherwise",
+     [](BenchOptions &o, const std::string &v, const char *) {
+         o.configPath = v;
+     }},
+    {"--jobs=", "N", true,
+     "run sweep points on N worker threads\n"
+     "(default: hardware concurrency;\n"
+     "output is byte-identical for any N)",
+     [](BenchOptions &o, const std::string &v, const char *f) {
+         o.jobs = static_cast<unsigned>(detail::numberArg(v, f));
+         if (o.jobs == 0)
+             fatal("%s must be >= 1", f);
+     }},
+    {"--per-line", nullptr, false,
+     "reference per-line access engine\n"
+     "(diagnostics; identical, slower)",
+     [](BenchOptions &o, const std::string &, const char *) {
+         o.perLine = true;
+     }},
+    {"--stats-json=", "FILE", true, "hierarchical stats registry as JSON",
+     [](BenchOptions &o, const std::string &v, const char *) {
+         o.obs.statsJsonPath = v;
+     }},
+    {"--stats-prom=", "FILE", true, "same registry, Prometheus text",
+     [](BenchOptions &o, const std::string &v, const char *) {
+         o.obs.statsPromPath = v;
+     }},
+    {"--perfetto=", "FILE", true, "Chrome-trace JSON (ui.perfetto.dev)",
+     [](BenchOptions &o, const std::string &v, const char *) {
+         o.obs.perfettoPath = v;
+     }},
+    {"--set-heatmap=", "FILE", true, "per-set DRAM cache conflict CSV",
+     [](BenchOptions &o, const std::string &v, const char *) {
+         o.obs.heatmapPath = v;
+     }},
+    {"--top-sets=", "N", true, "hottest-set report size (default 16)",
+     [](BenchOptions &o, const std::string &v, const char *f) {
+         o.obs.topSets = static_cast<std::size_t>(detail::numberArg(v, f));
+     }},
+    {"--causal-trace=", "FILE", true, "per-request causal attribution JSON",
+     [](BenchOptions &o, const std::string &v, const char *) {
+         o.obs.causalJsonPath = v;
+     }},
+    {"--folded-stacks=", "FILE", true, "folded flamegraph lines",
+     [](BenchOptions &o, const std::string &v, const char *) {
+         o.obs.foldedPath = v;
+     }},
+    {"--causal-sample=", "N", false, "sample 1-in-N requests (default 64)",
+     [](BenchOptions &o, const std::string &v, const char *f) {
+         o.obs.causalSamplePeriod = detail::numberArg(v, f);
+         if (o.obs.causalSamplePeriod == 0)
+             fatal("%s must be >= 1", f);
+     }},
+    {"--causal-seed=", "S", false, "sampling/reservoir seed (default 1)",
+     [](BenchOptions &o, const std::string &v, const char *f) {
+         o.obs.causalSeed = detail::numberArg(v, f);
+     }},
+    {"--telemetry=", "FILE", true,
+     "windowed counter/rate time-series CSV\n"
+     "(does not force serial execution)",
+     [](BenchOptions &o, const std::string &v, const char *) {
+         o.obs.telemetry.csvPath = v;
+     }},
+    {"--telemetry-json=", "FILE", true,
+     "nvsim-telemetry-v1 JSON (totals,\n"
+     "latency percentiles, windows, SLO)",
+     [](BenchOptions &o, const std::string &v, const char *) {
+         o.obs.telemetry.jsonPath = v;
+     }},
+    {"--telemetry-window=", "T", false,
+     "window length; s/ms/us/ns suffix\n"
+     "(default 1ms)",
+     [](BenchOptions &o, const std::string &v, const char *f) {
+         o.obs.telemetry.windowSeconds = detail::timeArg(v, f);
+     }},
+    {"--telemetry-ring=", "N", false,
+     "windows kept per run, 0 = unbounded\n"
+     "(default 4096; oldest evicted first)",
+     [](BenchOptions &o, const std::string &v, const char *f) {
+         o.obs.telemetry.ringWindows =
+             static_cast<std::size_t>(detail::numberArg(v, f));
+     }},
+    {"--slo=", "SPEC", false,
+     "objectives, e.g.\n"
+     "'p99_ns<2000;eff_gbs>10@95%'; the\n"
+     "report prints PASS/FAIL per run",
+     [](BenchOptions &o, const std::string &v, const char *) {
+         o.obs.telemetry.sloSpec = v;
+     }},
+    {"--anomaly-report=", "FILE", true,
+     "per-window anomaly detector\n"
+     "firings as nvsim-anomaly-v1 JSON",
+     [](BenchOptions &o, const std::string &v, const char *) {
+         o.obs.telemetry.anomalyJsonPath = v;
+     }},
+    {"--anomaly-z=", "Z", false,
+     "robust z-score firing threshold\n"
+     "(default 6.0)",
+     [](BenchOptions &o, const std::string &v, const char *f) {
+         o.obs.telemetry.anomalyZ = detail::realArg(v, f);
+         if (o.obs.telemetry.anomalyZ <= 0)
+             fatal("%s must be positive", f);
+     }},
+};
+
 /** The flag summary printed when an argument is rejected. */
-inline const char *
+inline std::string
 benchUsage()
 {
-    return "flags:\n"
-           "  --config=FILE       declarative SystemConfig JSON; the\n"
-           "                      bench's built-in defaults otherwise\n"
-           "  --jobs=N            run sweep points on N worker threads\n"
-           "                      (default: hardware concurrency;\n"
-           "                      output is byte-identical for any N)\n"
-           "  --per-line          reference per-line access engine\n"
-           "                      (diagnostics; identical, slower)\n"
-           "  --stats-json=FILE   hierarchical stats registry as JSON\n"
-           "  --stats-prom=FILE   same registry, Prometheus text\n"
-           "  --perfetto=FILE     Chrome-trace JSON (ui.perfetto.dev)\n"
-           "  --set-heatmap=FILE  per-set DRAM cache conflict CSV\n"
-           "  --top-sets=N        hottest-set report size (default 16)\n"
-           "  --causal-trace=FILE per-request causal attribution JSON\n"
-           "  --folded-stacks=FILE folded flamegraph lines\n"
-           "  --causal-sample=N   sample 1-in-N requests (default 64)\n"
-           "  --causal-seed=S     sampling/reservoir seed (default 1)\n"
-           "  --telemetry=FILE    windowed counter/rate time-series CSV\n"
-           "                      (does not force serial execution)\n"
-           "  --telemetry-json=FILE nvsim-telemetry-v1 JSON (totals,\n"
-           "                      latency percentiles, windows, SLO)\n"
-           "  --telemetry-window=T window length; s/ms/us/ns suffix\n"
-           "                      (default 1ms)\n"
-           "  --telemetry-ring=N  windows kept per run, 0 = unbounded\n"
-           "                      (default 4096; oldest evicted first)\n"
-           "  --slo=SPEC          objectives, e.g.\n"
-           "                      'p99_ns<2000;eff_gbs>10@95%'; the\n"
-           "                      report prints PASS/FAIL per run\n"
-           "  --anomaly-report=FILE per-window anomaly detector\n"
-           "                      firings as nvsim-anomaly-v1 JSON\n"
-           "  --anomaly-z=Z       robust z-score firing threshold\n"
-           "                      (default 6.0)";
+    std::string out = "flags:";
+    for (const BenchFlag &f : kBenchFlags) {
+        std::string label =
+            std::string(f.name) + (f.metavar ? f.metavar : "");
+        // Help text starts in column 22, after at least one space;
+        // continuation lines are indented to match.
+        out += "\n  " + label;
+        out.append(label.size() < 19 ? 20 - label.size() : 1, ' ');
+        for (const char *h = f.help; *h; ++h) {
+            out += *h;
+            if (*h == '\n')
+                out.append(22, ' ');
+        }
+    }
+    return out;
 }
 
 /**
@@ -244,30 +282,26 @@ parseBenchArgs(int &argc, char **argv, bool keep_unknown)
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         std::string value;
-        bool known = true;
-        if (detail::parseObsFlag(arg, opts.obs)) {
-        } else if (detail::matchFlag(arg, "--config=",
-                                     &opts.configPath)) {
-        } else if (detail::matchFlag(arg, "--jobs=", &value)) {
-            opts.jobs = static_cast<unsigned>(
-                detail::numberArg(value, "--jobs="));
-            if (opts.jobs == 0)
-                fatal("--jobs= must be >= 1");
-        } else if (std::strcmp(arg, "--per-line") == 0) {
-            opts.perLine = true;
-        } else {
-            known = false;
+        const BenchFlag *flag = nullptr;
+        for (const BenchFlag &f : kBenchFlags) {
+            if (f.metavar ? detail::matchFlag(arg, f.name, &value)
+                          : std::strcmp(arg, f.name) == 0) {
+                flag = &f;
+                break;
+            }
         }
-        if (!known) {
+        if (!flag) {
             if (!keep_unknown)
-                fatal("unknown argument '%s'\n%s", arg, benchUsage());
+                fatal("unknown argument '%s'\n%s", arg,
+                      benchUsage().c_str());
             argv[kept++] = argv[i];
             continue;
         }
+        flag->set(opts, value, flag->name);
         // Provenance: record the flags that can change results;
-        // result-neutral ones (outputs, --jobs=) would break the
-        // byte-identical-at-any-jobs guarantee.
-        if (!detail::manifestNeutral(arg))
+        // neutral ones would break the byte-identical-at-any-jobs
+        // guarantee.
+        if (!flag->neutral)
             man.flags.push_back(arg);
     }
     if (keep_unknown) {
@@ -275,7 +309,6 @@ parseBenchArgs(int &argc, char **argv, bool keep_unknown)
         argv[argc] = nullptr;
     }
     man.causalSeed = opts.obs.causalSeed;
-    man.readEnvironment();
     MemorySystem::setBatchedAccessDefault(!opts.perLine);
     return opts;
 }

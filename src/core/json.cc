@@ -31,8 +31,10 @@ std::uint64_t
 JsonValue::asUint() const
 {
     double n = asNumber();
-    if (n < 0 || n != std::floor(n))
-        fatal("json: expected a non-negative integer, got %g", n);
+    // 2^64 is one past the largest uint64_t; casting it or anything
+    // larger is undefined behaviour.
+    if (!(n >= 0 && n < 18446744073709551616.0) || n != std::floor(n))
+        fatal("json: expected a non-negative 64-bit integer, got %g", n);
     return static_cast<std::uint64_t>(n);
 }
 

@@ -19,10 +19,13 @@ ChannelController::ChannelController(const ChannelParams &params,
                                      MemoryMode mode)
     : params_(params), mode_(mode), dram_(params.dram),
       nvram_(params.nvram),
-      cache_(makeCachePolicy(
-          DramCacheParams{params.dram.capacity, params.ddo,
-                          params.cacheWays, params.insertOnWriteMiss},
-          params.policy)),
+      cache_(mode == MemoryMode::TwoLm
+                 ? makeCachePolicy(
+                       DramCacheParams{params.dram.capacity, params.ddo,
+                                       params.cacheWays,
+                                       params.insertOnWriteMiss},
+                       params.policy)
+                 : nullptr),
       lat_(deviceLatencies(params)),
       faultPlan_(params.fault, params.index),
       throttle_(params.fault.throttle),
@@ -510,7 +513,7 @@ ChannelController::epochTime(const ChannelEpoch &epoch) const
     // 2LM miss handler occupancy: a bounded number of outstanding
     // misses, each holding an entry for the serial tag-check + fetch.
     double t_mshr = 0;
-    if (params_.missHandlerEntries > 0) {
+    if (cache_ && params_.missHandlerEntries > 0) {
         t_mshr = static_cast<double>(epoch.misses) *
                  cache_->missServiceTime(lat_) /
                  static_cast<double>(params_.missHandlerEntries);
@@ -561,13 +564,16 @@ ChannelController::regStats(obs::Group &g)
     g.formula("amplification", "device accesses per demand request",
               [this] { return counters_.amplification(); });
 
-    obs::Group &cache = g.child("cache");
-    cache.formula("num_sets", "DRAM cache sets on this channel",
-                  [this] {
-                      return static_cast<double>(cache_->numSets());
-                  });
-    cache.formula("ways", "DRAM cache associativity",
-                  [this] { return static_cast<double>(cache_->ways()); });
+    if (cache_) {
+        obs::Group &cache = g.child("cache");
+        cache.formula("num_sets", "DRAM cache sets on this channel",
+                      [this] {
+                          return static_cast<double>(cache_->numSets());
+                      });
+        cache.formula("ways", "DRAM cache associativity", [this] {
+            return static_cast<double>(cache_->ways());
+        });
+    }
 
     obs::Group &dram = g.child("dram");
     dram.formula("cas_reads", "total 64 B DRAM read transactions",
@@ -649,7 +655,8 @@ ChannelController::regStats(obs::Group &g)
 void
 ChannelController::reset()
 {
-    cache_->invalidateAll();
+    if (cache_)
+        cache_->invalidateAll();
     counters_ = PerfCounters{};
     epochMisses_ = 0;
     // Re-seed the fault stream and cool the DIMM so reruns reproduce.

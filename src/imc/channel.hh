@@ -258,8 +258,9 @@ class ChannelController
     PerfCounters &counters() { return counters_; }
     const PerfCounters &counters() const { return counters_; }
 
-    CachePolicy &cache() { return *cache_; }
-    const CachePolicy &cache() const { return *cache_; }
+    /** The DRAM-cache policy; null in 1LM, which has no DRAM cache. */
+    CachePolicy *cache() { return cache_.get(); }
+    const CachePolicy *cache() const { return cache_.get(); }
     NvramDevice &nvram() { return nvram_; }
     const NvramDevice &nvram() const { return nvram_; }
     DramDevice &dram() { return dram_; }
@@ -307,7 +308,7 @@ class ChannelController
     MemoryMode mode_;
     DramDevice dram_;
     NvramDevice nvram_;
-    std::unique_ptr<CachePolicy> cache_;
+    std::unique_ptr<CachePolicy> cache_;  //!< 2LM only
     DeviceLatencies lat_;
     PerfCounters counters_;
     std::uint64_t epochMisses_ = 0;

@@ -178,13 +178,18 @@ CausalTracer::foldedLines(std::vector<std::string> &out,
             for (unsigned c = 0; c < kNumAccessCauses; ++c) {
                 if (cs.causeCount[c] == 0)
                     continue;
-                std::string line;
+                // Appends only: GCC 12's -Wrestrict misfires on
+                // `"x" + str` temporaries in Release builds.
+                std::string line = prefix;
                 if (!prefix.empty())
-                    line = prefix + ";";
+                    line += ';';
                 line += displayContext(ctx);
-                line += ";" + klass + ";";
+                line += ';';
+                line += klass;
+                line += ';';
                 line += accessCauseName(static_cast<AccessCause>(c));
-                line += " " + std::to_string(cs.causeCount[c]);
+                line += ' ';
+                line += std::to_string(cs.causeCount[c]);
                 out.push_back(std::move(line));
             }
         }

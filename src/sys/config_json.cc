@@ -13,6 +13,8 @@
  */
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <sstream>
 #include <type_traits>
 
@@ -224,7 +226,7 @@ class Reader
             else if constexpr (std::is_enum_v<T>)
                 member = parseEnum<T>(key, v->asString());
             else
-                member = static_cast<T>(v->asUint());
+                member = integer<T>(key, v->asNumber());
         }
     }
 
@@ -233,7 +235,7 @@ class Reader
     object(const char *key, Body body)
     {
         if (const JsonValue *v = claim(key)) {
-            Reader child(*v, path_.empty() ? key : path_ + "." + key);
+            Reader child(*v, where(key));
             body(child);
             child.finish();
         }
@@ -261,6 +263,29 @@ class Reader
         return value_.find(key);
     }
 
+    /** "path.key", the key's dotted location for messages. */
+    std::string
+    where(const char *key) const
+    {
+        return path_.empty() ? key : path_ + "." + key;
+    }
+
+    /** @p n as a T; fatal unless it is an integer T can hold. */
+    template <class T>
+    T
+    integer(const char *key, double n) const
+    {
+        // 2^digits is one past T's maximum and exact as a double.
+        const double limit = std::ldexp(1.0, std::numeric_limits<T>::digits);
+        if (!(n >= 0 && n < limit) || n != std::floor(n))
+            fatal("config: %s must be an integer in [0, %llu], got %g",
+                  where(key).c_str(),
+                  static_cast<unsigned long long>(
+                      std::numeric_limits<T>::max()),
+                  n);
+        return static_cast<T>(n);
+    }
+
     template <class E>
     E
     parseEnum(const char *key, const std::string &name) const
@@ -272,9 +297,8 @@ class Reader
             list += list.empty() ? "" : "|";
             list += enumName(e);
         }
-        fatal("config: %s%s%s must be one of %s, got \"%s\"",
-              path_.c_str(), path_.empty() ? "" : ".", key, list.c_str(),
-              name.c_str());
+        fatal("config: %s must be one of %s, got \"%s\"",
+              where(key).c_str(), list.c_str(), name.c_str());
     }
 
     const JsonValue &value_;

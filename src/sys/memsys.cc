@@ -110,10 +110,13 @@ MemorySystem::attachObserver(obs::Observer *observer)
 
     // Wire the set-conflict profiler into every channel's cache (all
     // channels share one geometry, so one profiler sums across them).
-    obs::SetProfiler *prof =
-        obs_->ensureSetProfiler(channels_[0].cache().numSets());
-    for (auto &ch : channels_)
-        ch.cache().setProfiler(prof);
+    // 1LM has no DRAM cache and so no set profile.
+    if (const CachePolicy *cache = channels_[0].cache()) {
+        obs::SetProfiler *prof =
+            obs_->ensureSetProfiler(cache->numSets());
+        for (auto &ch : channels_)
+            ch.cache()->setProfiler(prof);
+    }
 
     if (obs::PerfettoTracer *tracer = obs_->tracer()) {
         for (unsigned i = 0; i < numChannels(); ++i) {
@@ -223,8 +226,10 @@ MemorySystem::detachObserver()
     // strings while the state is still alive.
     obs_->seal();
     obs_->setDetachHook({});
-    for (auto &ch : channels_)
-        ch.cache().setProfiler(nullptr);
+    for (auto &ch : channels_) {
+        if (CachePolicy *cache = ch.cache())
+            cache->setProfiler(nullptr);
+    }
     obs_ = nullptr;
 }
 
@@ -1149,8 +1154,10 @@ MemorySystem::offlineChannel(unsigned idx)
     // offlined channel's) are stale. Model the reconfiguration as a
     // full cache invalidation — the refill cost is part of the
     // degradation being measured.
-    for (auto &ch : channels_)
-        ch.cache().invalidateAll();
+    for (auto &ch : channels_) {
+        if (CachePolicy *cache = ch.cache())
+            cache->invalidateAll();
+    }
     llc_.invalidateAll();
 
     faultLog_.record(now_, idx, FaultEventKind::ChannelOfflined);

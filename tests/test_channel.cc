@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "imc/channel.hh"
+#include "obs/stats.hh"
 
 using namespace nvsim;
 
@@ -67,7 +68,7 @@ TEST(Channel2lm, DirtyWritebackReachesNvram)
 {
     ChannelController ch(tinyParams(), MemoryMode::TwoLm);
     ch.handle(writeReq(0), MemPool::Nvram);  // dirty occupant
-    Addr alias = ch.cache().numSets() * kLineSize;
+    Addr alias = ch.cache()->numSets() * kLineSize;
     ch.handle(readReq(alias), MemPool::Nvram);
     EXPECT_EQ(ch.nvram().epoch().demandWrites, 1u);
     EXPECT_EQ(ch.counters().tagMissDirty, 1u);
@@ -119,6 +120,23 @@ TEST(Channel1lm, NoAmplification)
     EXPECT_DOUBLE_EQ(ch.counters().amplification(), 1.0);
 }
 
+TEST(Channel1lm, HoldsNoCachePolicy)
+{
+    // App direct has no DRAM cache: nothing to build, bound by the
+    // miss handler, register as stats or invalidate on reset.
+    ChannelController ch(tinyParams(), MemoryMode::OneLm);
+    EXPECT_EQ(ch.cache(), nullptr);
+    ch.handle(readReq(0), MemPool::Nvram);
+    ch.handle(writeReq(kLineSize), MemPool::Dram);
+    EXPECT_GT(ch.epochTime(ch.drainEpoch()), 0.0);
+    obs::Registry reg;
+    ch.regStats(reg.root());
+    for (const auto &g : reg.root().children())
+        EXPECT_NE(g->name(), "cache");
+    ch.reset();
+    EXPECT_EQ(ch.counters().demand(), 0u);
+}
+
 TEST(ChannelEpochTime, BusBoundDramTraffic)
 {
     ChannelParams p = tinyParams();
@@ -164,7 +182,7 @@ TEST(ChannelEpochTime, MissHandlerBoundsTwoLmMissStreams)
     // a miss; in fact all 512 are compulsory misses here.
     EXPECT_EQ(e.misses, 512u);
     double expect = 512.0 *
-                    ch.cache().missServiceTime(deviceLatencies(p)) /
+                    ch.cache()->missServiceTime(deviceLatencies(p)) /
                     p.missHandlerEntries;
     EXPECT_NEAR(ch.epochTime(e), expect, expect * 1e-9);
 }
@@ -175,7 +193,7 @@ TEST(Channel, ResetClearsStateAndCounters)
     ch.handle(writeReq(0), MemPool::Nvram);
     ch.reset();
     EXPECT_EQ(ch.counters().demand(), 0u);
-    EXPECT_FALSE(ch.cache().resident(0));
+    EXPECT_FALSE(ch.cache()->resident(0));
     // A re-read is a compulsory miss again.
     AccessResult r = ch.handle(readReq(0), MemPool::Nvram);
     EXPECT_EQ(r.outcome, CacheOutcome::MissClean);

@@ -386,6 +386,34 @@ TEST(ObserverEndToEnd, CleanReadMissesCostThreeAccesses)
     EXPECT_EQ(h.bucketCount(3), h.count());
 }
 
+TEST(ObserverEndToEnd, OneLmObservesOfflinesAndDetaches)
+{
+    SystemConfig c = smallCfg();
+    c.mode = MemoryMode::OneLm;
+    MemorySystem sys(c);
+    for (unsigned i = 0; i < sys.numChannels(); ++i)
+        EXPECT_EQ(sys.channel(i).cache(), nullptr);
+
+    obs::Observer obs("1lm");
+    obs.enableHeatmap();
+    sys.attachObserver(&obs);
+    // No DRAM cache, so no sets to profile.
+    EXPECT_EQ(obs.setProfiler(), nullptr);
+
+    Region arr = sys.allocate(4 * kMiB, "arr");
+    KernelConfig k;
+    k.op = KernelOp::ReadOnly;
+    k.threads = 2;
+    runKernel(sys, arr, k);
+    sys.offlineChannel(1);
+    std::uint64_t offlined = sys.channel(1).counters().demand();
+    KernelResult r = runKernel(sys, arr, k);
+    sys.quiesce();
+    EXPECT_GT(r.counters.demand(), 0u);
+    EXPECT_EQ(sys.channel(1).counters().demand(), offlined);
+    sys.detachObserver();
+}
+
 TEST(ObserverEndToEnd, ResetCountersDropsWarmupSamples)
 {
     MemorySystem sys(smallCfg());

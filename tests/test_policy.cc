@@ -544,6 +544,29 @@ TEST(ConfigJsonDeath, RemovedKeysAreUnknown)
         ::testing::ExitedWithCode(1), "unknown key 'tracker_entries' in ddo");
 }
 
+TEST(ConfigJsonDeath, IntegerPastMemberWidthIsFatal)
+{
+    // 2^32 + 1 and 2^32 + 11 would wrap to 1 and 11 in the 32-bit
+    // members.
+    EXPECT_EXIT(SystemConfig::fromJson(
+                    "{\"cache_ways\": 4294967297, "
+                    "\"llc\": {\"ways\": 4294967307}}"),
+                ::testing::ExitedWithCode(1),
+                "cache_ways must be an integer in .0, 4294967295.");
+    EXPECT_EXIT(SystemConfig::fromJson("{\"llc\": {\"ways\": 4294967307}}"),
+                ::testing::ExitedWithCode(1),
+                "llc.ways must be an integer in .0, 4294967295.");
+}
+
+TEST(ConfigJsonDeath, IntegerPast64BitsIsFatal)
+{
+    EXPECT_EXIT(SystemConfig::fromJson("{\"cache_ways\": 1e30}"),
+                ::testing::ExitedWithCode(1),
+                "cache_ways must be an integer in .0, 4294967295., got 1e.30");
+    EXPECT_EXIT(parseJson("1e30").asUint(), ::testing::ExitedWithCode(1),
+                "expected a non-negative 64-bit integer, got 1e.30");
+}
+
 TEST(ConfigJsonDeath, BadEnumNameIsFatal)
 {
     EXPECT_EXIT(SystemConfig::fromJson("{\"mode\": \"3LM\"}"),
